@@ -30,6 +30,7 @@ from .syntax import ParseError, parse_map
 from .towers import forward_tower, reverse_tower
 
 DEFAULT_FDB_CAP = 4
+DEFAULT_PARTITIONS_CAP = 10  # Bell(10) = 115,975 partitions
 
 
 def _fail_usage(message: str) -> int:
@@ -59,13 +60,6 @@ def _parse_blocks(text: str | None) -> tuple[int, ...] | None:
     if not blocks or any(b < 0 for b in blocks):
         raise argparse.ArgumentTypeError(f"bad block list {text!r}")
     return blocks
-
-
-def _default_seed() -> int:
-    try:
-        return int(os.environ.get("RFDB_SEED", "42"))
-    except ValueError:
-        return 42
 
 
 def cmd_derive(args: argparse.Namespace) -> int:
@@ -130,11 +124,18 @@ def cmd_verify(args: argparse.Namespace) -> int:
     for name in ("cases", "max_dim", "max_deg", "max_order"):
         if getattr(args, name) < 1:
             return _fail_usage(f"--{name.replace('_', '-')} must be positive")
+    seed = args.seed
+    if seed is None:
+        text = os.environ.get("RFDB_SEED", "42")
+        try:
+            seed = int(text)
+        except ValueError:
+            return _fail_usage(f"RFDB_SEED must be an integer, got {text!r}")
     cfg = CorpusConfig(
         max_dim=args.max_dim, max_degree=args.max_deg, max_order=args.max_order
     )
     names = list(SUITE_NAMES) if args.suite == "all" else [args.suite]
-    reports = [run_suite(name, args.seed, args.cases, cfg) for name in names]
+    reports = [run_suite(name, seed, args.cases, cfg) for name in names]
     if args.json:
         payload = [r.to_json() for r in reports]
         print(json.dumps(payload[0] if args.suite != "all" else payload, indent=2))
@@ -147,6 +148,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_partitions(args: argparse.Namespace) -> int:
     if args.n < 1:
         return _fail_usage("n must be at least 1")
+    if args.n > args.max_n:
+        return _fail_usage(
+            f"n {args.n} exceeds the cap {args.max_n}; raise --max-n if you mean it"
+        )
     parts = enumerate_partitions(args.n)
     if args.json:
         print(json.dumps({
@@ -228,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "seeded random polynomial maps; exits 1 on any failure.",
     )
     p_verify.add_argument("--suite", choices=SUITE_NAMES + ("all",), default="all")
-    p_verify.add_argument("--seed", type=int, default=_default_seed(),
+    p_verify.add_argument("--seed", type=int, default=None,
                           help="corpus seed (default: $RFDB_SEED or 42)")
     p_verify.add_argument("--cases", type=int, default=100)
     p_verify.add_argument("--max-dim", type=int, default=3)
@@ -243,6 +248,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Canonical enumeration (finest first, blocks ordered by minimum).",
     )
     p_parts.add_argument("n", type=int)
+    p_parts.add_argument("--max-n", type=int, default=DEFAULT_PARTITIONS_CAP,
+                         help="safety cap on n (the count is the Bell number of n)")
     p_parts.add_argument("--json", action="store_true")
     p_parts.set_defaults(func=cmd_partitions)
 

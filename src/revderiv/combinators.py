@@ -18,11 +18,11 @@ from .maps import (
     ArityProfile,
     PolyMap,
     compose,
-    embed_blocks,
     flatten,
     pair,
     precompose_blocks,
     projection,
+    reblock,
 )
 from .poly import Polynomial
 
@@ -95,12 +95,10 @@ def partial_forward(f: PolyMap, j: int) -> PolyMap:
     blocks = f.domain.blocks
     nb = len(blocks)
     dj = blocks[j - 1]
-    d_total = forward_derivative(flatten(f))
-    src = f.domain.concat(dj)
-    target = ArityProfile(blocks + blocks)
+    d_total = reblock(forward_derivative(flatten(f)), blocks + blocks)
     placement = {t: t for t in range(1, nb + 1)}
     placement[nb + j] = nb + 1
-    return compose(d_total, embed_blocks(src, target, placement))
+    return precompose_blocks(d_total, f.domain.concat(dj), placement)
 
 
 def forward_from_reverse(f: PolyMap) -> PolyMap:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .maps import ArityProfile, PolyMap, compose, pair, select_blocks, zero_map
+from .maps import ArityProfile, PolyMap, compose, pair, precompose_blocks, select_blocks, zero_map
 from .partitions import SetPartition, enumerate_partitions
 from .towers import forward_tower, reverse_tower
 
@@ -83,14 +83,21 @@ def _check_composable(f: PolyMap, g: PolyMap, n: int) -> None:
         raise ValueError("derivative order offset n must be nonnegative")
 
 
+def _forward_factor(f: PolyMap, dom: ArityProfile, block: tuple[int, ...]) -> PolyMap:
+    """The order-|block| forward tower of f at domain block 1, fed with the
+    vector arguments a_s, which live in domain blocks s+1."""
+    placement = {1: 1}
+    placement.update({t: s + 1 for t, s in enumerate(block, start=2)})
+    return precompose_blocks(forward_tower(f, len(block)), dom, placement)
+
+
 def _forward_summand(f: PolyMap, g: PolyMap, dom: ArityProfile, part: SetPartition) -> FdbSummand:
     k = len(part.blocks)
-    base = compose(f, select_blocks(dom, [1]))
+    base = precompose_blocks(f, dom, {1: 1})
     inner = []
     factors: list[Factor] = [("forward", "g", k)]
     for block in part.blocks:
-        sel = select_blocks(dom, [1] + [s + 1 for s in block])
-        inner.append(compose(forward_tower(f, len(block)), sel))
+        inner.append(_forward_factor(f, dom, block))
         factors.append(("forward", "f", len(block)))
     result = compose(forward_tower(g, k), pair([base] + inner))
     return FdbSummand(part, tuple(factors), result)
@@ -101,14 +108,13 @@ def _reverse_summand(f: PolyMap, g: PolyMap, dom: ArityProfile, part: SetPartiti
     first, rest = part.blocks[0], part.blocks[1:]
     if first[0] != 1:
         raise AssertionError("canonical partitions keep 1 in the first block")
-    base = compose(f, select_blocks(dom, [1]))
+    base = precompose_blocks(f, dom, {1: 1})
     # inner forward factors of f for the blocks not containing 1;
     # vector argument a_s lives in domain block s+1 (block 2 is the covector)
     vs = []
     factors: list[Factor] = [("reverse", "f", len(first)), ("reverse", "g", k)]
     for block in rest:
-        sel = select_blocks(dom, [1] + [s + 1 for s in block])
-        vs.append(compose(forward_tower(f, len(block)), sel))
+        vs.append(_forward_factor(f, dom, block))
         factors.append(("forward", "f", len(block)))
     w = compose(reverse_tower(g, k), pair([base, select_blocks(dom, [2])] + vs))
     outer_args = [select_blocks(dom, [1]), w] + [select_blocks(dom, [s + 1]) for s in first[1:]]

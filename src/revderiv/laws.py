@@ -155,8 +155,7 @@ def law_rd4(rng: random.Random, cfg: CorpusConfig) -> LawFailure | None:
     fine = ArityProfile((dim,) + tuple(f.codomain_dim for f in fs))
     rhs_fine = zero_map(fine, dim)
     for idx, f in enumerate(fs):
-        sel = select_blocks(fine, [1, idx + 2])
-        rhs_fine = rhs_fine + compose(reverse_derivative(f), sel)
+        rhs_fine = rhs_fine + precompose_blocks(reverse_derivative(f), fine, {1: 1, 2: idx + 2})
     rhs = reblock(rhs_fine, lhs.domain)
     return _cmp("rd4", fs, lhs, rhs)
 
@@ -166,7 +165,7 @@ def _reverse_chain_rhs(f: PolyMap, g: PolyMap) -> PolyMap:
     g at the pushed-forward base point, then through f."""
     n = f.domain.total
     dom = ArityProfile((n, g.codomain_dim))
-    base = compose(f, select_blocks(dom, [1]))
+    base = precompose_blocks(f, dom, {1: 1})
     inner = compose(reverse_derivative(g), pair([base, select_blocks(dom, [2])]))
     return compose(reverse_derivative(f), pair([select_blocks(dom, [1]), inner]))
 
@@ -177,12 +176,16 @@ def law_rd5(rng: random.Random, cfg: CorpusConfig) -> LawFailure | None:
     return _cmp("rd5", [f, g], lhs, _reverse_chain_rhs(f, g))
 
 
-def law_rd6(rng: random.Random, cfg: CorpusConfig) -> LawFailure | None:
+def _transpose_of_forward(law: str, rng: random.Random, cfg: CorpusConfig) -> LawFailure | None:
     """Transposing the forward derivative in its vector block gives the
     reverse derivative."""
     f = random_single_block_map(rng, cfg)
     lhs = dagger(forward_derivative(f), 2)
-    return _cmp("rd6", [f], lhs, reverse_derivative(f))
+    return _cmp(law, [f], lhs, reverse_derivative(f))
+
+
+def law_rd6(rng: random.Random, cfg: CorpusConfig) -> LawFailure | None:
+    return _transpose_of_forward("rd6", rng, cfg)
 
 
 def law_rd7(rng: random.Random, cfg: CorpusConfig) -> LawFailure | None:
@@ -206,7 +209,7 @@ def law_cd5_chain(rng: random.Random, cfg: CorpusConfig) -> LawFailure | None:
     n = f.domain.total
     lhs = forward_derivative(compose(g, f))
     dom = ArityProfile((n, n))
-    base = compose(f, select_blocks(dom, [1]))
+    base = precompose_blocks(f, dom, {1: 1})
     rhs = compose(forward_derivative(g), pair([base, forward_derivative(f)]))
     return _cmp("cd5-chain", [f, g], lhs, rhs)
 
@@ -280,8 +283,8 @@ def law_ctx_rd4(rng: random.Random, cfg: CorpusConfig) -> LawFailure | None:
     fine = ArityProfile((c1, a, c2) + tuple(f.codomain_dim for f in fs))
     rhs_fine = zero_map(fine, a)
     for idx, f in enumerate(fs):
-        sel = select_blocks(fine, [1, 2, 3, idx + 4])
-        rhs_fine = rhs_fine + compose(partial_reverse(f, 2), sel)
+        placement = {1: 1, 2: 2, 3: 3, 4: idx + 4}
+        rhs_fine = rhs_fine + precompose_blocks(partial_reverse(f, 2), fine, placement)
     rhs = reblock(rhs_fine, lhs.domain)
     return _cmp("ctx-rd4", fs, lhs, rhs)
 
@@ -296,7 +299,7 @@ def law_ctx_rd5(rng: random.Random, cfg: CorpusConfig) -> LawFailure | None:
     glue = pair([projection(f.domain, 1), f, projection(f.domain, 3)])
     lhs = partial_reverse(compose(g, glue), 2)
     dom = ArityProfile((c1, a, c2, e))
-    fmid = compose(f, select_blocks(dom, [1, 2, 3]))
+    fmid = precompose_blocks(f, dom, {1: 1, 2: 2, 3: 3})
     inner = compose(
         partial_reverse(g, 2),
         pair([select_blocks(dom, [1]), fmid, select_blocks(dom, [3]), select_blocks(dom, [4])]),
@@ -341,7 +344,7 @@ def law_ctx_tuple(rng: random.Random, cfg: CorpusConfig) -> LawFailure | None:
     lhs = partial_reverse(glue, 2)
     fine = ArityProfile((c1, a, c2, c1, m, c2))
     rhs = reblock(
-        compose(partial_reverse(f, 2), select_blocks(fine, [1, 2, 3, 5])),
+        precompose_blocks(partial_reverse(f, 2), fine, {1: 1, 2: 2, 3: 3, 4: 5}),
         lhs.domain,
     )
     return _cmp("ctx-tuple", [f], lhs, rhs)
@@ -351,7 +354,7 @@ def law_ctx_tuple(rng: random.Random, cfg: CorpusConfig) -> LawFailure | None:
 
 
 def law_transpose_of_forward(rng: random.Random, cfg: CorpusConfig) -> LawFailure | None:
-    return law_rd6(rng, cfg)
+    return _transpose_of_forward("transpose-of-forward", rng, cfg)
 
 
 def law_forward_from_reverse(rng: random.Random, cfg: CorpusConfig) -> LawFailure | None:
@@ -380,7 +383,7 @@ def law_dagger_base_independence(rng: random.Random, cfg: CorpusConfig) -> LawFa
     f = random_single_block_map(rng, cfg)
     n, m = f.domain.total, f.codomain_dim
     lhs = partial_reverse(reverse_derivative(f), 2)              # (n, m, n) -> m
-    rhs = compose(forward_derivative(f), select_blocks(ArityProfile((n, m, n)), [1, 3]))
+    rhs = precompose_blocks(forward_derivative(f), ArityProfile((n, m, n)), {1: 1, 2: 3})
     return _cmp("dagger-base-independence", [f], lhs, rhs)
 
 

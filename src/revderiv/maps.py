@@ -176,6 +176,25 @@ def flatten(f: PolyMap) -> PolyMap:
     return reblock(f, f.domain.flat())
 
 
+def _routing(src: ArityProfile, target: ArityProfile,
+             placement: Mapping[int, int]) -> list[int | None]:
+    """For each flat coordinate of ``target``, its source coordinate in ``src``,
+    or None where the target block has no entry in ``placement``."""
+    sources: list[int | None] = []
+    for t in range(1, target.block_count + 1):
+        if t in placement:
+            s = placement[t]
+            if src.block_dim(s) != target.block_dim(t):
+                raise ValueError(
+                    f"block {s} of {src} has dimension {src.block_dim(s)}, "
+                    f"target block {t} needs {target.block_dim(t)}"
+                )
+            sources.extend(src.block_range(s))
+        else:
+            sources.extend([None] * target.block_dim(t))
+    return sources
+
+
 def embed_blocks(src: ArityProfile, target: ArityProfile, placement: Mapping[int, int]) -> PolyMap:
     """Build the map src -> target that routes whole blocks.
 
@@ -185,19 +204,10 @@ def embed_blocks(src: ArityProfile, target: ArityProfile, placement: Mapping[int
     selections are all instances.
     """
     n = src.total
-    coords: list[Polynomial] = []
-    for t in range(1, target.block_count + 1):
-        if t in placement:
-            s = placement[t]
-            if src.block_dim(s) != target.block_dim(t):
-                raise ValueError(
-                    f"block {s} of {src} has dimension {src.block_dim(s)}, "
-                    f"target block {t} needs {target.block_dim(t)}"
-                )
-            coords.extend(Polynomial.variable(i, n) for i in src.block_range(s))
-        else:
-            coords.extend(Polynomial.zero(n) for _ in range(target.block_dim(t)))
-    return PolyMap(src, tuple(coords))
+    return PolyMap(src, tuple(
+        Polynomial.zero(n) if s is None else Polynomial.variable(s, n)
+        for s in _routing(src, target, placement)
+    ))
 
 
 def select_blocks(src: ArityProfile, picks: Sequence[int]) -> PolyMap:
@@ -208,5 +218,10 @@ def select_blocks(src: ArityProfile, picks: Sequence[int]) -> PolyMap:
 
 def precompose_blocks(f: PolyMap, src: ArityProfile, placement: Mapping[int, int]) -> PolyMap:
     """f with its block arguments rerouted: argument block t of f is taken
-    from source block placement[t], or set to zero when absent."""
-    return compose(f, embed_blocks(src, f.domain, placement))
+    from source block placement[t], or set to zero when absent.
+
+    Equal to ``compose(f, embed_blocks(src, f.domain, placement))``, but the
+    routing only rewrites exponents; no polynomial is multiplied.
+    """
+    sources = _routing(src, f.domain, placement)
+    return PolyMap(src, tuple(p.reindex(sources, src.total) for p in f.coords))

@@ -205,6 +205,33 @@ class Polynomial:
             result = result + term
         return result
 
+    def reindex(self, sources: Sequence[int | None], dim: int) -> "Polynomial":
+        """Substitute coordinate ``sources[i]`` of a ``dim``-space, or zero when
+        it is None, for coordinate ``i``, by rewriting exponents only.
+
+        Terms that use a zeroed coordinate vanish; coordinates routed from one
+        source add their exponents.  Equal to :meth:`substitute` with the
+        corresponding variables and zeros, without multiplying polynomials.
+        """
+        if len(sources) != self.dim:
+            raise ValueError(f"{len(sources)} routing sources, expected {self.dim}")
+        for s in sources:
+            if s is not None and not 0 <= s < dim:
+                raise IndexError(f"source coordinate {s} out of range for dimension {dim}")
+        acc: dict[Monomial, Scalar] = {}
+        for m, c in self.terms:
+            new = [0] * dim
+            for i, e in enumerate(m):
+                if e:
+                    s = sources[i]
+                    if s is None:
+                        break
+                    new[s] += e
+            else:
+                key = tuple(new)
+                acc[key] = acc.get(key, Fraction(0)) + c
+        return Polynomial(dim, _canonical_terms(acc))
+
     def pad(self, dim: int) -> "Polynomial":
         """Embed into a larger space by appending fresh trailing coordinates."""
         if dim < self.dim:

@@ -119,6 +119,15 @@ def test_partitions_zero_rejected(capsys):
     assert "at least 1" in err
 
 
+def test_partitions_cap(capsys):
+    code, out, err = run_cli(capsys, "partitions", "11")
+    assert code == 2 and out == ""
+    assert "exceeds the cap 10" in err and "--max-n" in err
+    code, _, err = run_cli(capsys, "partitions", "13", "--max-n", "12")
+    assert code == 2
+    assert "exceeds the cap 12" in err
+
+
 def test_partitions_json(capsys):
     code, out, _ = run_cli(capsys, "partitions", "2", "--json")
     assert code == 0
@@ -187,6 +196,13 @@ def test_verify_seed_env_var(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "verify", "--suite", "rd-axioms", "--cases", "1",
                            "--seed", "3", "--json")
     assert json.loads(out)["seed"] == 3
+
+
+def test_verify_rejects_non_integer_seed_env_var(capsys, monkeypatch):
+    monkeypatch.setenv("RFDB_SEED", "abc")
+    code, out, err = run_cli(capsys, "verify", "--suite", "rd-axioms", "--cases", "1")
+    assert code == 2 and out == ""
+    assert "RFDB_SEED" in err and "'abc'" in err
 
 
 # -- fdb ----------------------------------------------------------------------------

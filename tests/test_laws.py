@@ -5,8 +5,10 @@ import random
 
 import pytest
 
+from revderiv import laws
 from revderiv.corpus import CorpusConfig
 from revderiv.laws import LAWS, SUITE_NAMES, LawFailure, run_suite, run_suites
+from revderiv.maps import identity
 
 
 def test_every_suite_green_on_small_corpus():
@@ -69,3 +71,11 @@ def test_failure_record_shape():
 def test_run_suites_order_preserved():
     reports = run_suites(["stable", "rd-axioms"], seed=2, cases=1)
     assert [r.suite for r in reports] == ["stable", "rd-axioms"]
+
+
+def test_transpose_of_forward_failures_carry_its_own_id(monkeypatch):
+    # a broken transpose makes the law fail on every case
+    monkeypatch.setattr(laws, "dagger", lambda f, j: identity(1))
+    monkeypatch.setitem(LAWS, "dagger", [("transpose-of-forward", laws.law_transpose_of_forward)])
+    report = run_suite("dagger", seed=1, cases=3)
+    assert [f.law for f in report.failures] == ["transpose-of-forward"] * 3

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from revderiv.corpus import CorpusConfig, random_map, random_profile
 from revderiv.maps import (
@@ -14,6 +16,7 @@ from revderiv.maps import (
     flatten,
     identity,
     pair,
+    precompose_blocks,
     projection,
     reblock,
     select_blocks,
@@ -137,6 +140,58 @@ def test_select_blocks():
     src = ArityProfile((1, 2, 1))
     w = select_blocks(src, [3, 1])
     assert w.evaluate([1, 2, 3, 4]) == (4, 1)
+
+
+@st.composite
+def routings(draw):
+    """A source profile, a target profile and a placement between them: each
+    target block copies some source block or is zero-filled."""
+    src = ArityProfile(tuple(draw(st.lists(st.integers(0, 3), min_size=1, max_size=4))))
+    dims: list[int] = []
+    placement: dict[int, int] = {}
+    for t in range(1, draw(st.integers(1, 4)) + 1):
+        s = draw(st.none() | st.integers(1, src.block_count))
+        if s is None:
+            dims.append(draw(st.integers(0, 3)))
+        else:
+            placement[t] = s
+            dims.append(src.block_dim(s))
+    return src, ArityProfile(tuple(dims)), placement
+
+
+@given(routings(), st.integers(0, 2**32 - 1))
+@example((ArityProfile((1, 2, 2)), ArityProfile((2, 1, 2)), {1: 3, 2: 1, 3: 2}), 1)  # permutation
+@example((ArityProfile((2, 1)), ArityProfile((2, 3, 1)), {1: 1, 3: 2}), 2)  # zero insertion
+@example((ArityProfile((1, 2, 3)), ArityProfile((3, 1)), {1: 3, 2: 1}), 3)  # selection
+@example((ArityProfile((2,)), ArityProfile((2, 2)), {1: 1, 2: 1}), 4)  # one source, two targets
+def test_precompose_blocks_matches_substitution_oracle(routing, seed):
+    src, target, placement = routing
+    rng = random.Random(seed)
+    f = random_map(rng, target, rng.randint(1, 3), 3)
+    routing_map = embed_blocks(src, target, placement)
+    assert precompose_blocks(f, src, placement) == compose(f, routing_map)
+    # where two targets share a source, f minus f-with-those-blocks-swapped
+    # routes to colliding monomials whose coefficients cancel exactly
+    for t1 in placement:
+        for t2 in placement:
+            if t1 < t2 and placement[t1] == placement[t2]:
+                swap = {t: t for t in range(1, target.block_count + 1)}
+                swap[t1], swap[t2] = t2, t1
+                g = f + compose(f, embed_blocks(target, target, swap)).scale(-1)
+                routed = precompose_blocks(g, src, placement)
+                assert routed == compose(g, routing_map)
+                assert routed.is_zero()
+
+
+def test_precompose_blocks_cancels_colliding_monomials():
+    # x1*x2 - x1^2 with both blocks fed from one source is x^2 - x^2 = 0
+    f = PolyMap(ArityProfile((1, 1)), (
+        Polynomial.from_dict(2, {(1, 1): Fraction(1), (2, 0): Fraction(-1), (0, 1): Fraction(3)}),
+    ))
+    routed = precompose_blocks(f, ArityProfile((1,)), {1: 1, 2: 1})
+    assert str(routed) == "(3*x1)"
+    with pytest.raises(ValueError):
+        precompose_blocks(f, ArityProfile((2,)), {1: 1})  # dimension clash
 
 
 def test_pair_requires_shared_domain():
