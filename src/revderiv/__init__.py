@@ -35,14 +35,11 @@ from .poly import Monomial, Polynomial
 from .scalar import Scalar, as_scalar
 from .syntax import ParseError, parse_map, parse_polynomial
 from .towers import (
-    HigherDerivative,
     LawCheck,
     check_dagger_bridge,
     check_stable_rule,
     check_stable_rule_in_context,
     forward_tower,
-    higher_forward,
-    higher_reverse,
     reverse_tower,
 )
 
@@ -53,7 +50,6 @@ __all__ = [
     "CorpusConfig",
     "FdbReport",
     "FdbSummand",
-    "HigherDerivative",
     "LawCheck",
     "LawFailure",
     "LawReport",
@@ -79,8 +75,6 @@ __all__ = [
     "forward_fdb",
     "forward_from_reverse",
     "forward_tower",
-    "higher_forward",
-    "higher_reverse",
     "identity",
     "index_select",
     "is_dlinear",

@@ -25,6 +25,7 @@ from .corpus import CorpusConfig
 from .combinators import partial_forward, partial_reverse
 from .faa_di_bruno import fdb_report
 from .laws import SUITE_NAMES, LawReport, run_suite
+from .maps import ArityProfile, PolyMap, zero_map
 from .partitions import enumerate_partitions
 from .syntax import ParseError, parse_map
 from .towers import forward_tower, reverse_tower
@@ -62,6 +63,17 @@ def _parse_blocks(text: str | None) -> tuple[int, ...] | None:
     return blocks
 
 
+def _tower(f: PolyMap, order: int, mode: str) -> PolyMap:
+    """The order-k tower of a single-block map; above f's degree it is the
+    zero map of the tower's shape, built without iterating."""
+    if order <= f.max_degree():
+        return (reverse_tower if mode == "reverse" else forward_tower)(f, order)
+    n, m = f.domain.total, f.codomain_dim
+    if mode == "reverse":
+        return zero_map(ArityProfile((n, m) + (n,) * (order - 1)), n)
+    return zero_map(ArityProfile((n,) * (order + 1)), m)
+
+
 def cmd_derive(args: argparse.Namespace) -> int:
     try:
         f = parse_map(_read_expr(args.map), args.blocks)
@@ -85,8 +97,7 @@ def cmd_derive(args: argparse.Namespace) -> int:
                     "total derivatives need a single-block domain; "
                     "use --partial J or declare one block"
                 )
-            tower = reverse_tower if args.mode == "reverse" else forward_tower
-            result = tower(f, args.order)
+            result = _tower(f, args.order, args.mode)
     except (ValueError, IndexError) as err:
         return _fail_usage(str(err))
     if args.json:
@@ -175,9 +186,15 @@ def cmd_fdb(args: argparse.Namespace) -> int:
         )
     try:
         f = parse_map(_read_expr(args.f))
-        g = parse_map(_read_expr(args.g))
     except ParseError as err:
         return _fail_parse(err)
+    try:
+        g = parse_map(_read_expr(args.g), (f.codomain_dim,))
+    except ParseError as err:
+        code = _fail_parse(err)
+        print(f"(--g is read on the {f.codomain_dim} outputs of --f, so that the two compose)",
+              file=sys.stderr)
+        return code
     try:
         report = fdb_report(f, g, args.n, args.mode)
     except ValueError as err:

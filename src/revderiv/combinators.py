@@ -2,10 +2,13 @@
 
 The reverse derivative of f : A -> B is the transpose-Jacobian-vector
 product R[f] : A x B -> A; the forward derivative is the Jacobian-vector
-product D[f] : A x A -> B.  Partial (per-block) versions, the linear
-transpose of a map in a block it is linear in, and the slice constructions
-that thread a fixed context block through composition are all built on top
-of the coordinate-wise power-rule derivative from :mod:`revderiv.poly`.
+product D[f] : A x A -> B.  All four derivatives (total and per-block, in
+both modes) come from one sparse kernel that walks f's terms once and applies
+the power rule to the variables of one block, emitting each derived term
+straight into its output; its cost follows the number of nonzero terms, not
+the number of (input, output) pairs.  The linear transpose of a map in a
+block it is linear in, and the slice constructions that thread a fixed
+context block through composition, are built on top of it.
 
 Derived maps always append their fresh argument blocks at the end of the
 domain, never reordering existing coordinates, so identities between derived
@@ -14,17 +17,8 @@ maps hold positionally.
 
 from __future__ import annotations
 
-from .maps import (
-    ArityProfile,
-    PolyMap,
-    compose,
-    flatten,
-    pair,
-    precompose_blocks,
-    projection,
-    reblock,
-)
-from .poly import Polynomial
+from .maps import ArityProfile, PolyMap, compose, pair, precompose_blocks, projection
+from .poly import Polynomial, _canonical_terms
 
 
 class NotDLinearError(ValueError):
@@ -39,36 +33,49 @@ def _require_single_block(f: PolyMap, what: str) -> None:
         )
 
 
+def _partial(f: PolyMap, j: int, reverse: bool) -> PolyMap:
+    """The partial derivative of f in block j, in one pass over f's terms.
+
+    Each term c*x^m of coordinate k yields, for every variable x_i of block j
+    with exponent e = m_i > 0, the term c*e*x^(m - e_i)*y.  In reverse mode y
+    is the covector coordinate k and the term belongs to output i; in forward
+    mode y is the vector coordinate matching i and the term belongs to output
+    k.  The fresh y block is appended to the domain.  No two emitted terms of
+    one output share a monomial (y's index and the lowered monomial recover
+    the source term), so each output only needs sorting.
+    """
+    rng = f.domain.block_range(j)
+    width = f.codomain_dim if reverse else len(rng)
+    domain = f.domain.concat(width)
+    units = [(0,) * t + (1,) + (0,) * (width - t - 1) for t in range(width)]
+    outputs: list[dict] = [{} for _ in (rng if reverse else f.coords)]
+    for k, p in enumerate(f.coords):
+        for mono, c in p.terms:
+            for t, i in enumerate(rng):
+                e = mono[i]
+                if e:
+                    lowered = mono[:i] + (e - 1,) + mono[i + 1:]
+                    if reverse:
+                        outputs[t][lowered + units[k]] = c * e
+                    else:
+                        outputs[k][lowered + units[t]] = c * e
+    dim = domain.total
+    return PolyMap(domain, tuple(Polynomial(dim, _canonical_terms(acc)) for acc in outputs))
+
+
 def reverse_derivative(f: PolyMap) -> PolyMap:
     """R[f] : (n, m) -> n, coordinate i = sum_j d(f_j)/d(x_i) * y_j.
 
     The m fresh trailing coordinates are the output covector y.
     """
     _require_single_block(f, "the total reverse derivative")
-    n = f.domain.total
-    m = f.codomain_dim
-    dim = n + m
-    coords = []
-    for i in range(n):
-        acc = Polynomial.zero(dim)
-        for j, fj in enumerate(f.coords):
-            acc = acc + fj.partial(i).pad(dim) * Polynomial.variable(n + j, dim)
-        coords.append(acc)
-    return PolyMap(ArityProfile((n, m)), tuple(coords))
+    return _partial(f, 1, True)
 
 
 def forward_derivative(f: PolyMap) -> PolyMap:
     """D[f] : (n, n) -> m, coordinate j = sum_i d(f_j)/d(x_i) * y_i."""
     _require_single_block(f, "the total forward derivative")
-    n = f.domain.total
-    dim = 2 * n
-    coords = []
-    for fj in f.coords:
-        acc = Polynomial.zero(dim)
-        for i in range(n):
-            acc = acc + fj.partial(i).pad(dim) * Polynomial.variable(n + i, dim)
-        coords.append(acc)
-    return PolyMap(ArityProfile((n, n)), tuple(coords))
+    return _partial(f, 1, False)
 
 
 def partial_reverse(f: PolyMap, j: int) -> PolyMap:
@@ -77,12 +84,7 @@ def partial_reverse(f: PolyMap, j: int) -> PolyMap:
     Domain profile is f's blocks followed by one fresh covector block of the
     codomain dimension; codomain is block j's dimension.
     """
-    f.domain.check_block(j)
-    m = f.codomain_dim
-    total = reverse_derivative(flatten(f))
-    domain = f.domain.concat(m)
-    rng = f.domain.block_range(j)
-    return PolyMap(domain, total.coords[rng.start: rng.stop])
+    return _partial(f, j, True)
 
 
 def partial_forward(f: PolyMap, j: int) -> PolyMap:
@@ -91,14 +93,7 @@ def partial_forward(f: PolyMap, j: int) -> PolyMap:
     Domain profile is f's blocks followed by one fresh vector block of block
     j's dimension.
     """
-    f.domain.check_block(j)
-    blocks = f.domain.blocks
-    nb = len(blocks)
-    dj = blocks[j - 1]
-    d_total = reblock(forward_derivative(flatten(f)), blocks + blocks)
-    placement = {t: t for t in range(1, nb + 1)}
-    placement[nb + j] = nb + 1
-    return precompose_blocks(d_total, f.domain.concat(dj), placement)
+    return _partial(f, j, False)
 
 
 def forward_from_reverse(f: PolyMap) -> PolyMap:

@@ -29,16 +29,6 @@ from .maps import ArityProfile, PolyMap, precompose_blocks
 
 
 @dataclass(frozen=True)
-class HigherDerivative:
-    """A map together with one of its iterated derivatives."""
-
-    base: PolyMap
-    order: int
-    kind: str  # "reverse" or "forward"
-    result: PolyMap
-
-
-@dataclass(frozen=True)
 class LawCheck:
     """Outcome of a symbolic identity check, with both sides as witnesses."""
 
@@ -72,14 +62,6 @@ def forward_tower(f: PolyMap, order: int) -> PolyMap:
     if order == 1:
         return forward_derivative(f)
     return partial_forward(forward_tower(f, order - 1), 1)
-
-
-def higher_reverse(f: PolyMap, order: int) -> HigherDerivative:
-    return HigherDerivative(f, order, "reverse", reverse_tower(f, order))
-
-
-def higher_forward(f: PolyMap, order: int) -> HigherDerivative:
-    return HigherDerivative(f, order, "forward", forward_tower(f, order))
 
 
 def check_stable_rule(f: PolyMap) -> LawCheck:

@@ -7,6 +7,8 @@ import pytest
 
 from revderiv import cli
 from revderiv.laws import LAWS, LawFailure
+from revderiv.syntax import parse_map
+from revderiv.towers import forward_tower, reverse_tower
 
 
 def run_cli(capsys, *argv):
@@ -82,6 +84,35 @@ def test_derive_partial_needs_order_one(capsys):
     code, _, err = run_cli(capsys, "derive", "--map", "(x1*x2)", "--blocks", "1,1",
                            "--order", "2", "--partial", "1")
     assert code == 2
+
+
+@pytest.mark.parametrize("mode", ["reverse", "forward"])
+def test_derive_order_far_above_degree_is_zero(capsys, mode):
+    code, out, err = run_cli(capsys, "derive", "--map", "(x1^2)", "--order", "2000",
+                             "--mode", mode, "--json")
+    assert code == 0 and err == ""
+    # (n, m) + (n,) * 1999 and (n,) * 2001 coincide for n = m = 1
+    assert json.loads(out) == {"map": "(0)", "domain_blocks": [1] * 2001, "codomain_dim": 1}
+
+
+@pytest.mark.parametrize("mode", ["reverse", "forward"])
+@pytest.mark.parametrize("text", ["(x1^2*x2 - x3, 3, x2^3)", "(x1^2)", "(2, 1/2)", "()"])
+def test_derive_zero_shortcut_matches_iterated_tower(capsys, mode, text):
+    # two orders above the degree, the shortcut prints what iterating does
+    f = parse_map(text)
+    order = f.max_degree() + 2
+    tower = reverse_tower if mode == "reverse" else forward_tower
+    expected = tower(f, order)
+    for extra in ([], ["--json"]):
+        code, out, _ = run_cli(capsys, "derive", "--map", text, "--order", str(order),
+                               "--mode", mode, *extra)
+        assert code == 0
+        if extra:
+            assert out == json.dumps({"map": str(expected),
+                                      "domain_blocks": list(expected.domain.blocks),
+                                      "codomain_dim": expected.codomain_dim}) + "\n"
+        else:
+            assert out == f"{expected}\n"
 
 
 def test_derive_stdin(capsys, monkeypatch):
@@ -233,10 +264,22 @@ def test_fdb_n2_five_summands_json(capsys):
 
 
 def test_fdb_interface_mismatch_exits_2(capsys):
-    code, _, err = run_cli(capsys, "fdb", "--f", "(x1, x1)", "--g", "(x1)",
+    # g reads x2, but f has a single output
+    code, _, err = run_cli(capsys, "fdb", "--f", "(x1)", "--g", "(x1*x2)",
                            "--n", "0", "--mode", "forward")
     assert code == 2
     assert "compose" in err
+
+
+@pytest.mark.parametrize("mode", ["forward", "reverse"])
+def test_fdb_outer_map_may_ignore_trailing_inputs(capsys, mode):
+    # g is read on f's two outputs even though it never uses x2
+    for f_text, g_text in (("(x1, x1^2)", "(x1^2)"), ("(x1, x1)", "(x1)")):
+        code, out, _ = run_cli(capsys, "fdb", "--f", f_text, "--g", g_text,
+                               "--n", "1", "--mode", mode, "--json")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["equal"] is True and len(payload["summands"]) == 2
 
 
 def test_fdb_cap(capsys):

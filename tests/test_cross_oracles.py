@@ -1,22 +1,39 @@
 """Cross-checks through independent derivative routes.
 
-Two oracles that share no code with the power-rule derivative:
+Oracles that share no code with the derivative kernel or the towers; they
+use only :class:`Polynomial` substitution and expansion:
 
 * a Taylor-shift oracle: the derivative in coordinate i is the coefficient
-  of t in p(..., x_i + t, ...), computed purely by substitution and
-  expansion;
+  of t in p(..., x_i + t, ...);
 * an entry-wise second-partials construction of the twice-derived maps,
   assembled directly from raw polynomial partials and fresh variables
-  rather than through the combinators.
+  rather than through the combinators;
+* a polarization oracle for the order-k towers, from the t^k Taylor
+  coefficients of f(a + t*s) over sums s of vector arguments (Griewank,
+  Utke & Walther, Math. Comp. 69(231), 2000).
 """
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
-from revderiv.combinators import forward_derivative, partial_reverse, reverse_derivative
-from revderiv.corpus import CorpusConfig, random_polynomial, random_single_block_map
+import pytest
+
+from revderiv.combinators import (
+    forward_derivative,
+    partial_forward,
+    partial_reverse,
+    reverse_derivative,
+)
+from revderiv.corpus import (
+    CorpusConfig,
+    random_map,
+    random_polynomial,
+    random_single_block_map,
+)
 from revderiv.maps import ArityProfile, PolyMap, precompose_blocks
 from revderiv.poly import Polynomial
+from revderiv.towers import forward_tower, reverse_tower
 
 CFG = CorpusConfig()
 
@@ -132,3 +149,110 @@ def test_evaluation_cross_check_of_reverse():
             for i in range(n)
         )
         assert got == expected
+
+
+# -- first-order partials in any block -------------------------------------------
+
+
+def shift_partials(f: PolyMap, j: int, reverse: bool) -> PolyMap:
+    """partial_reverse / partial_forward of f in block j, entry-wise from
+    shift-oracle partials: output i (reverse) is sum_k df_k/dx_i * y_k over
+    the covector y; output k (forward) is sum_i df_k/dx_i * v_i over the
+    vector v of block j's variables i."""
+    blocks = f.domain.blocks
+    n = f.domain.total
+    start = sum(blocks[: j - 1])
+    rng = range(start, start + blocks[j - 1])
+    width = f.codomain_dim if reverse else len(rng)
+    dim = n + width
+    entries = {(k, i): shift_derivative(fk, i).pad(dim)
+               for k, fk in enumerate(f.coords) for i in rng}
+    coords = []
+    for out in (rng if reverse else range(f.codomain_dim)):
+        acc = Polynomial.zero(dim)
+        if reverse:
+            for k in range(f.codomain_dim):
+                acc = acc + entries[k, out] * Polynomial.variable(n + k, dim)
+        else:
+            for t, i in enumerate(rng):
+                acc = acc + entries[out, i] * Polynomial.variable(n + t, dim)
+        coords.append(acc)
+    return PolyMap(ArityProfile(blocks + (width,)), tuple(coords))
+
+
+@pytest.mark.parametrize("blocks,codomain", [
+    ((1, 2), 2), ((2, 1, 3), 1), ((2, 0, 1), 2), ((0, 3), 2), ((1, 2), 0), ((3,), 2),
+])
+def test_partials_in_every_block_match_shift_oracle(blocks, codomain):
+    rng = random.Random(f"partials/{blocks}/{codomain}")
+    profile = ArityProfile(blocks)
+    for _ in range(8):
+        f = random_map(rng, profile, codomain, CFG.max_degree, CFG.max_terms)
+        for j in range(1, len(blocks) + 1):
+            assert partial_reverse(f, j) == shift_partials(f, j, reverse=True)
+            assert partial_forward(f, j) == shift_partials(f, j, reverse=False)
+
+
+# -- higher orders by polarization ----------------------------------------------
+
+
+def polarized_forward_tower(f: PolyMap, k: int) -> PolyMap:
+    """The order-k forward tower over (a, v1, ..., vk), as the symmetric
+    k-linear form B(v1..vk) = sum over nonempty S of (-1)^(k-|S|) times the
+    t^k coefficient of f(a + t * sum_{i in S} v_i).
+
+    Each summand is one substitution into a ring with a trailing variable t.
+    """
+    n = f.domain.total
+    dim = n * (k + 1)
+    t = Polynomial.variable(dim, dim + 1)
+    acc = [dict() for _ in f.coords]
+    for size in range(1, k + 1):
+        sign = (-1) ** (k - size)
+        for subset in combinations(range(1, k + 1), size):
+            args = []
+            for i in range(n):
+                s = Polynomial.zero(dim + 1)
+                for b in subset:
+                    s = s + Polynomial.variable(b * n + i, dim + 1)
+                args.append(Polynomial.variable(i, dim + 1) + t * s)
+            for out, p in zip(acc, f.coords):
+                for mono, c in p.substitute(args, dim=dim + 1).terms:
+                    if mono[dim] == k:
+                        out[mono[:dim]] = out.get(mono[:dim], 0) + sign * c
+    return PolyMap(ArityProfile((n,) * (k + 1)),
+                   tuple(Polynomial.from_dict(dim, out) for out in acc))
+
+
+def polarized_reverse_tower(f: PolyMap, k: int) -> PolyMap:
+    """The order-k reverse tower over (a, y, w2, ..., wk): coordinate l is
+    sum_j y_j * B_j(e_l, w2, ..., wk), read off the polarized forward tower
+    as the coefficients of the first vector block's variables."""
+    n, m = f.domain.total, f.codomain_dim
+    forward = polarized_forward_tower(f, k)
+    acc = [dict() for _ in range(n)]
+    for j, p in enumerate(forward.coords):
+        covector = tuple(1 if q == j else 0 for q in range(m))
+        for mono, c in p.terms:
+            for l in range(n):
+                if mono[n + l]:  # B is linear in v1, so this exponent is 1
+                    key = mono[:n] + covector + mono[2 * n:]
+                    acc[l][key] = acc[l].get(key, 0) + c
+    return PolyMap(ArityProfile((n, m) + (n,) * (k - 1)),
+                   tuple(Polynomial.from_dict(n + m + n * (k - 1), out) for out in acc))
+
+
+def test_polarization_oracle_on_a_cube():
+    # B(v1, v2, v3) of x^3 is 6*v1*v2*v3; the reverse tower pairs it with y
+    f = PolyMap(ArityProfile((1,)), (Polynomial.variable(0, 1) ** 3,))
+    assert str(polarized_forward_tower(f, 3)) == "(6*x2*x3*x4)"
+    assert str(polarized_reverse_tower(f, 2)) == "(6*x1*x2*x3)"
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+def test_towers_match_polarization_oracle(order):
+    rng = random.Random(66 + order)
+    for _ in range(12):
+        f = random_single_block_map(rng, CFG)
+        assert forward_tower(f, order) == polarized_forward_tower(f, order)
+        assert reverse_tower(f, order) == polarized_reverse_tower(f, order)

@@ -14,8 +14,6 @@ from revderiv.towers import (
     check_stable_rule,
     check_stable_rule_in_context,
     forward_tower,
-    higher_forward,
-    higher_reverse,
     reverse_tower,
 )
 
@@ -31,7 +29,7 @@ def test_reverse_tower_of_cube():
 def test_reverse_tower_order_zero_is_f():
     f = parse_map("(x1^2, x1)")
     assert reverse_tower(f, 0) == f
-    assert higher_reverse(f, 0).result == f
+    assert forward_tower(f, 0) == f
 
 
 def test_reverse_tower_of_linear_vanishes_at_two():
@@ -50,14 +48,12 @@ def test_forward_tower_values():
 def test_tower_shapes():
     f = parse_map("(x1 + x2, x1*x2, x1^2)", blocks=(2,))  # 2 -> 3
     for order in range(1, 4):
-        hr = higher_reverse(f, order)
-        assert hr.kind == "reverse" and hr.order == order
-        assert hr.result.domain.blocks == (2, 3) + (2,) * (order - 1)
-        assert hr.result.codomain_dim == 2
-        hf = higher_forward(f, order)
-        assert hf.kind == "forward" and hf.order == order
-        assert hf.result.domain.blocks == (2,) * (order + 1)
-        assert hf.result.codomain_dim == 3
+        hr = reverse_tower(f, order)
+        assert hr.domain.blocks == (2, 3) + (2,) * (order - 1)
+        assert hr.codomain_dim == 2
+        hf = forward_tower(f, order)
+        assert hf.domain.blocks == (2,) * (order + 1)
+        assert hf.codomain_dim == 3
 
 
 def test_negative_order_rejected():
