@@ -14,8 +14,8 @@ from .combinators import (
     slice_reverse,
 )
 from .corpus import CorpusConfig
-from .faa_di_bruno import FdbReport, FdbSummand, fdb_report, forward_fdb, reverse_fdb
-from .laws import LawFailure, LawReport, SUITE_NAMES, run_suite, run_suites
+from .faa_di_bruno import FdbReport, FdbSummand, fdb_report
+from .laws import LawFailure, LawReport, SUITE_NAMES, run_suite
 from .maps import (
     ArityProfile,
     PolyMap,
@@ -30,9 +30,9 @@ from .maps import (
     select_blocks,
     zero_map,
 )
-from .partitions import SetPartition, enumerate_partitions, index_select
+from .partitions import SetPartition, enumerate_partitions
 from .poly import Monomial, Polynomial
-from .scalar import Scalar, as_scalar
+from .scalar import Scalar
 from .syntax import ParseError, parse_map, parse_polynomial
 from .towers import (
     LawCheck,
@@ -61,7 +61,6 @@ __all__ = [
     "Scalar",
     "SetPartition",
     "SUITE_NAMES",
-    "as_scalar",
     "check_dagger_bridge",
     "check_stable_rule",
     "check_stable_rule_in_context",
@@ -72,11 +71,9 @@ __all__ = [
     "fdb_report",
     "flatten",
     "forward_derivative",
-    "forward_fdb",
     "forward_from_reverse",
     "forward_tower",
     "identity",
-    "index_select",
     "is_dlinear",
     "is_klinear_in_block",
     "pair",
@@ -88,10 +85,8 @@ __all__ = [
     "projection",
     "reblock",
     "reverse_derivative",
-    "reverse_fdb",
     "reverse_tower",
     "run_suite",
-    "run_suites",
     "select_blocks",
     "slice_compose",
     "slice_reverse",

@@ -17,6 +17,8 @@ or vector arguments start at x(N+1).  ``RFDB_SEED`` sets the default seed;
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import os
 import sys
@@ -37,6 +39,13 @@ DEFAULT_PARTITIONS_CAP = 10  # Bell(10) = 115,975 partitions
 def _fail_usage(message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
     return 2
+
+
+def _check_cap(name: str, value: int, cap: int, remedy: str) -> int | None:
+    """Exit 2 when an input whose cost grows super-exponentially is over its cap."""
+    if value > cap:
+        return _fail_usage(f"{name} {value} exceeds the cap {cap}; {remedy}")
+    return None
 
 
 def _fail_parse(err: ParseError) -> int:
@@ -135,6 +144,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
     for name in ("cases", "max_dim", "max_deg", "max_order"):
         if getattr(args, name) < 1:
             return _fail_usage(f"--{name.replace('_', '-')} must be positive")
+    names = list(SUITE_NAMES) if args.suite == "all" else [args.suite]
+    if {"fdb-forward", "fdb-reverse"} & set(names):
+        # the fdb laws check Bell(max_order + 1) summands per case
+        code = _check_cap("--max-order", args.max_order, DEFAULT_FDB_CAP,
+                         "the fdb suites go no higher; pick another --suite")
+        if code is not None:
+            return code
     seed = args.seed
     if seed is None:
         text = os.environ.get("RFDB_SEED", "42")
@@ -145,7 +161,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
     cfg = CorpusConfig(
         max_dim=args.max_dim, max_degree=args.max_deg, max_order=args.max_order
     )
-    names = list(SUITE_NAMES) if args.suite == "all" else [args.suite]
     reports = [run_suite(name, seed, args.cases, cfg) for name in names]
     if args.json:
         payload = [r.to_json() for r in reports]
@@ -159,10 +174,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_partitions(args: argparse.Namespace) -> int:
     if args.n < 1:
         return _fail_usage("n must be at least 1")
-    if args.n > args.max_n:
-        return _fail_usage(
-            f"n {args.n} exceeds the cap {args.max_n}; raise --max-n if you mean it"
-        )
+    code = _check_cap("n", args.n, args.max_n, "raise --max-n if you mean it")
+    if code is not None:
+        return code
     parts = enumerate_partitions(args.n)
     if args.json:
         print(json.dumps({
@@ -180,10 +194,9 @@ def cmd_partitions(args: argparse.Namespace) -> int:
 def cmd_fdb(args: argparse.Namespace) -> int:
     if args.n < 0:
         return _fail_usage("--n must be nonnegative")
-    if args.n > args.max_n:
-        return _fail_usage(
-            f"--n {args.n} exceeds the cap {args.max_n}; raise --max-n if you mean it"
-        )
+    code = _check_cap("--n", args.n, args.max_n, "raise --max-n if you mean it")
+    if code is not None:
+        return code
     try:
         f = parse_map(_read_expr(args.f))
     except ParseError as err:
@@ -255,7 +268,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--cases", type=int, default=100)
     p_verify.add_argument("--max-dim", type=int, default=3)
     p_verify.add_argument("--max-deg", type=int, default=3)
-    p_verify.add_argument("--max-order", type=int, default=3)
+    p_verify.add_argument("--max-order", type=int, default=3,
+                          help=f"highest derivative order offset (at most {DEFAULT_FDB_CAP} "
+                               "when an fdb suite runs)")
     p_verify.add_argument("--json", action="store_true")
     p_verify.set_defaults(func=cmd_verify)
 
@@ -293,7 +308,18 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    # the verdict is settled before anything reaches stdout, so a reader that
+    # closes the pipe early cannot change the exit status
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = args.func(args)
+    try:
+        sys.stdout.write(out.getvalue())
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # keep the interpreter's final flush from failing on the closed pipe
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return code
 
 
 if __name__ == "__main__":

@@ -18,9 +18,11 @@ oracle computed independently in :mod:`revderiv.towers`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .maps import ArityProfile, PolyMap, compose, pair, precompose_blocks, select_blocks, zero_map
 from .partitions import SetPartition, enumerate_partitions
+from .poly import Polynomial
 from .towers import forward_tower, reverse_tower
 
 # (combinator, which map, order): e.g. ("forward", "f", 2)
@@ -122,28 +124,6 @@ def _reverse_summand(f: PolyMap, g: PolyMap, dom: ArityProfile, part: SetPartiti
     return FdbSummand(part, tuple(factors), result)
 
 
-def forward_fdb(f: PolyMap, g: PolyMap, n: int) -> PolyMap:
-    """Partition-sum construction of the order-(n+1) forward derivative of g o f."""
-    _check_composable(f, g, n)
-    a = f.domain.total
-    dom = ArityProfile((a,) * (n + 2))
-    total = zero_map(dom, g.codomain_dim)
-    for part in enumerate_partitions(n + 1):
-        total = total + _forward_summand(f, g, dom, part).result
-    return total
-
-
-def reverse_fdb(f: PolyMap, g: PolyMap, n: int) -> PolyMap:
-    """Partition-sum construction of the order-(n+1) reverse derivative of g o f."""
-    _check_composable(f, g, n)
-    a = f.domain.total
-    dom = ArityProfile((a, g.codomain_dim) + (a,) * n)
-    total = zero_map(dom, a)
-    for part in enumerate_partitions(n + 1):
-        total = total + _reverse_summand(f, g, dom, part).result
-    return total
-
-
 def _first_difference(lhs: PolyMap, rhs: PolyMap) -> str | None:
     if lhs == rhs:
         return None
@@ -157,11 +137,7 @@ def _first_difference(lhs: PolyMap, rhs: PolyMap) -> str | None:
         for mono in monos:
             cl, cr = dp.get(mono, 0), dq.get(mono, 0)
             if cl != cr:
-                text = "*".join(
-                    f"x{k + 1}^{e}" if e > 1 else f"x{k + 1}"
-                    for k, e in enumerate(mono)
-                    if e
-                ) or "1"
+                text = str(Polynomial(len(mono), ((mono, Fraction(1)),)))
                 return f"coordinate {i + 1}, monomial {text}: {cl} vs {cr}"
     return "coordinate count mismatch"
 
@@ -175,20 +151,13 @@ def fdb_report(f: PolyMap, g: PolyMap, n: int, mode: str) -> FdbReport:
     composite = compose(g, f)
     if mode == "forward":
         dom = ArityProfile((a,) * (n + 2))
-        summands = tuple(
-            _forward_summand(f, g, dom, part) for part in enumerate_partitions(n + 1)
-        )
-        oracle = forward_tower(composite, n + 1)
-        total = zero_map(dom, g.codomain_dim)
+        build, tower = _forward_summand, forward_tower
     else:
         dom = ArityProfile((a, g.codomain_dim) + (a,) * n)
-        summands = tuple(
-            _reverse_summand(f, g, dom, part) for part in enumerate_partitions(n + 1)
-        )
-        oracle = reverse_tower(composite, n + 1)
-        total = zero_map(dom, a)
-    for s in summands:
-        total = total + s.result
+        build, tower = _reverse_summand, reverse_tower
+    summands = tuple(build(f, g, dom, part) for part in enumerate_partitions(n + 1))
+    oracle = tower(composite, n + 1)
+    total = sum((s.result for s in summands), zero_map(dom, oracle.codomain_dim))
     return FdbReport(
         mode=mode,
         order=n,

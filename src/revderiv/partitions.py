@@ -11,9 +11,7 @@ coarser ones (all singletons first, the one-block partition last).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, TypeVar
-
-T = TypeVar("T")
+from typing import Sequence
 
 
 @dataclass(frozen=True)
@@ -81,11 +79,3 @@ def enumerate_partitions(n: int) -> list[SetPartition]:
     walk(1, 0)
     return out
 
-
-def index_select(args: Sequence[T], indices: Sequence[int]) -> tuple[T, ...]:
-    """Pick entries of ``args`` by 1-based indices, in increasing index order."""
-    picked = sorted(indices)
-    for i in picked:
-        if not 1 <= i <= len(args):
-            raise IndexError(f"index {i} out of range for {len(args)} arguments")
-    return tuple(args[i - 1] for i in picked)

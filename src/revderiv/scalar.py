@@ -6,15 +6,7 @@ be swapped without touching the algebra.  ``fractions.Fraction`` already
 guarantees lowest terms and a positive denominator.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 
 Scalar = Fraction
 
-
-def as_scalar(value: int | str | Fraction) -> Fraction:
-    """Coerce ints, Fractions, and ``p/q`` strings to an exact Scalar."""
-    if isinstance(value, Fraction):
-        return value
-    return Fraction(value)

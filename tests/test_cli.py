@@ -1,11 +1,15 @@
 """The command-line contract: outputs, exit codes, determinism."""
 
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from revderiv import cli
+from revderiv import cli, laws
 from revderiv.laws import LAWS, LawFailure
 from revderiv.syntax import parse_map
 from revderiv.towers import forward_tower, reverse_tower
@@ -236,6 +240,19 @@ def test_verify_rejects_non_integer_seed_env_var(capsys, monkeypatch):
     assert "RFDB_SEED" in err and "'abc'" in err
 
 
+def test_verify_max_order_cap_applies_to_fdb_suites(capsys):
+    # the fdb laws count Bell(max_order + 1) summands, tabulated up to the cap
+    assert max(laws.BELL) == cli.DEFAULT_FDB_CAP + 1
+    for suite in ("fdb-forward", "fdb-reverse", "all"):
+        code, out, err = run_cli(capsys, "verify", "--suite", suite, "--max-order", "5",
+                                 "--cases", "1")
+        assert code == 2 and out == ""
+        assert "--max-order 5 exceeds the cap 4" in err
+    code, _, _ = run_cli(capsys, "verify", "--suite", "stable", "--max-order", "5",
+                         "--cases", "1")
+    assert code == 0
+
+
 # -- fdb ----------------------------------------------------------------------------
 
 
@@ -298,3 +315,20 @@ def test_help_documents_exit_codes(capsys):
     assert exc.value.code == 0
     out = capsys.readouterr().out
     assert "exit codes" in out
+
+
+def test_closed_pipe_exits_with_the_verdict_and_no_traceback():
+    # Bell(10) lines are far more than a pipe holds, so the writer is still
+    # blocked when the reader goes away after the first line
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "revderiv.cli", "partitions", "10"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 0
+    assert first == b"{1}|{2}|{3}|{4}|{5}|{6}|{7}|{8}|{9}|{10}\n"
+    assert err == b""

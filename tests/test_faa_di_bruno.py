@@ -5,7 +5,7 @@ import random
 import pytest
 
 from revderiv.corpus import CorpusConfig, random_composable_pair
-from revderiv.faa_di_bruno import fdb_report, forward_fdb, reverse_fdb
+from revderiv.faa_di_bruno import _first_difference, fdb_report
 from revderiv.maps import ArityProfile, PolyMap, compose, pair, select_blocks
 from revderiv.poly import Polynomial
 from revderiv.syntax import parse_map
@@ -16,7 +16,7 @@ SQ = parse_map("(x1^2)")
 
 def test_forward_n0_is_chain_rule():
     f, g = SQ, SQ
-    out = forward_fdb(f, g, 0)
+    out = fdb_report(f, g, 0, "forward").total
     assert out == forward_tower(compose(g, f), 1)
     # D[g o f](a, b) built by hand: D[g](f(a), D[f](a, b))
     dom = ArityProfile((1, 1))
@@ -28,7 +28,7 @@ def test_forward_n0_is_chain_rule():
 def test_forward_n1_frozen_value():
     # f = g = squaring, so the composite is x^4 and the order-2 forward
     # derivative is 12*a0^2*a1*a2
-    out = forward_fdb(SQ, SQ, 1)
+    out = fdb_report(SQ, SQ, 1, "forward").total
     assert str(out) == "(12*x1^2*x2*x3)"
     assert out == forward_tower(compose(SQ, SQ), 2)
 
@@ -89,8 +89,8 @@ def test_identities_on_random_pairs():
     for _ in range(5):
         f, g = random_composable_pair(rng, cfg, max_dim=2, max_degree=2)
         for n in range(3):
-            assert forward_fdb(f, g, n) == forward_tower(compose(g, f), n + 1)
-            assert reverse_fdb(f, g, n) == reverse_tower(compose(g, f), n + 1)
+            assert fdb_report(f, g, n, "forward").total == forward_tower(compose(g, f), n + 1)
+            assert fdb_report(f, g, n, "reverse").total == reverse_tower(compose(g, f), n + 1)
 
 
 def test_reverse_never_takes_forward_of_outer_map():
@@ -111,23 +111,23 @@ def test_degenerate_middle_dimension():
     f = PolyMap(ArityProfile((1,)), ())
     g = PolyMap(ArityProfile((0,)), (Polynomial.constant(0, 5),))
     for n in range(3):
-        assert reverse_fdb(f, g, n).is_zero()
         rep = fdb_report(f, g, n, "reverse")
+        assert rep.total.is_zero()
         assert rep.equal
-        assert forward_fdb(f, g, n).is_zero()
+        assert fdb_report(f, g, n, "forward").total.is_zero()
 
 
 def test_interface_mismatch_rejected():
     f = parse_map("(x1, x1)")  # 1 -> 2
     g = parse_map("(x1^2)")    # 1 -> 1
     with pytest.raises(ValueError):
-        forward_fdb(f, g, 0)
+        fdb_report(f, g, 0, "forward")
     with pytest.raises(ValueError):
         fdb_report(f, g, 0, "reverse")
     with pytest.raises(ValueError):
         fdb_report(g, g, 0, "sideways")
     with pytest.raises(ValueError):
-        reverse_fdb(g, g, -1)
+        fdb_report(g, g, -1, "reverse")
 
 
 def test_report_json_shape():
@@ -140,3 +140,22 @@ def test_report_json_shape():
     assert len(payload["summands"]) == 2
     first = payload["summands"][0]
     assert set(first) == {"partition", "block_sizes", "factors", "map"}
+
+
+def test_first_difference_names_coordinate_and_monomial():
+    same = parse_map("(x1, x2)")
+    assert _first_difference(same, parse_map("(x1, x2)")) is None
+    # one monomial differs: its coefficients on both sides
+    lhs, rhs = parse_map("(x1, x1^2*x3 + x2)"), parse_map("(x1, 3*x1^2*x3 + x2)")
+    assert _first_difference(lhs, rhs) == "coordinate 2, monomial x1^2*x3: 1 vs 3"
+    # the highest differing monomial comes first, signs included
+    lhs, rhs = parse_map("(x1 - x2^3)"), parse_map("(x1 + x2^3)")
+    assert _first_difference(lhs, rhs) == "coordinate 1, monomial x2^3: -1 vs 1"
+    # the constant term prints as the monomial 1
+    lhs, rhs = parse_map("(x1^2 + 1/2, x2)"), parse_map("(x1^2, x2)")
+    assert _first_difference(lhs, rhs) == "coordinate 1, monomial 1: 1/2 vs 0"
+    # different shapes are reported before any coefficient
+    lhs, rhs = parse_map("(x1^2, x2)"), parse_map("(x1^2)", blocks=(2,))
+    assert _first_difference(lhs, rhs) == "shape mismatch: (2)->2 vs (2)->1"
+    lhs, rhs = parse_map("(x1)", blocks=(1, 1)), parse_map("(x1)", blocks=(2,))
+    assert _first_difference(lhs, rhs) == "shape mismatch: (1,1)->1 vs (2)->1"

@@ -7,8 +7,10 @@ import pytest
 
 from revderiv import laws
 from revderiv.corpus import CorpusConfig
-from revderiv.laws import LAWS, SUITE_NAMES, LawFailure, run_suite, run_suites
+from revderiv.faa_di_bruno import FdbReport, FdbSummand
+from revderiv.laws import LAWS, SUITE_NAMES, LawFailure, run_suite
 from revderiv.maps import identity
+from revderiv.partitions import enumerate_partitions
 
 
 def test_every_suite_green_on_small_corpus():
@@ -69,7 +71,7 @@ def test_failure_record_shape():
 
 
 def test_run_suites_order_preserved():
-    reports = run_suites(["stable", "rd-axioms"], seed=2, cases=1)
+    reports = [run_suite(name, seed=2, cases=1) for name in ["stable", "rd-axioms"]]
     assert [r.suite for r in reports] == ["stable", "rd-axioms"]
 
 
@@ -79,3 +81,24 @@ def test_transpose_of_forward_failures_carry_its_own_id(monkeypatch):
     monkeypatch.setitem(LAWS, "dagger", [("transpose-of-forward", laws.law_transpose_of_forward)])
     report = run_suite("dagger", seed=1, cases=3)
     assert [f.law for f in report.failures] == ["transpose-of-forward"] * 3
+
+
+@pytest.mark.parametrize("mode", ["forward", "reverse"])
+def test_fdb_failures_carry_the_mode_in_their_id(monkeypatch, mode):
+    def fake_report(summands, total):
+        oracle = identity(1)
+        return lambda f, g, n, m: FdbReport(m, n, str(f), str(g), summands, total, oracle,
+                                            None if total == oracle else "differs")
+
+    monkeypatch.setitem(LAWS, f"fdb-{mode}", [(f"fdb-{mode}", getattr(laws, f"law_fdb_{mode}"))])
+    # a wrong summand count is reported before the totals are compared
+    monkeypatch.setattr(laws, "fdb_report", fake_report((), identity(1)))
+    failures = run_suite(f"fdb-{mode}", seed=1, cases=2).failures
+    assert [f.law for f in failures] == [f"fdb-{mode}-count"] * 2
+    assert (failures[0].lhs, failures[0].rhs) == ("0", "1")
+    # the right count with an unequal total
+    summand = FdbSummand(enumerate_partitions(1)[0], (), identity(1))
+    monkeypatch.setattr(laws, "fdb_report", fake_report((summand,), identity(1).scale(2)))
+    failures = run_suite(f"fdb-{mode}", seed=1, cases=2).failures
+    assert [f.law for f in failures] == [f"fdb-{mode}"] * 2
+    assert (failures[0].lhs, failures[0].rhs) == ("(2*x1)", "(x1)")

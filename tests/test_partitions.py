@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from revderiv.partitions import SetPartition, enumerate_partitions, index_select
+from revderiv.partitions import SetPartition, enumerate_partitions
 
 
 def bell_numbers(upto):
@@ -63,15 +63,6 @@ def test_set_partition_validation():
         SetPartition(((1,), ()))  # empty block
     with pytest.raises(ValueError):
         SetPartition(((1,), (3,)))  # gap
-
-
-def test_index_select():
-    args = ("a", "b", "c")
-    assert index_select(args, [1, 2, 3]) == ("a", "b", "c")
-    assert index_select(args, [2]) == ("b",)
-    assert index_select(args, [3, 1]) == ("a", "c")  # increasing index order
-    with pytest.raises(IndexError):
-        index_select(args, [4])
 
 
 def test_block_sizes_and_ground_size():
