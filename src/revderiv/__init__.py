@@ -38,7 +38,6 @@ from .towers import (
     LawCheck,
     check_dagger_bridge,
     check_stable_rule,
-    check_stable_rule_in_context,
     forward_tower,
     reverse_tower,
 )
@@ -63,7 +62,6 @@ __all__ = [
     "SUITE_NAMES",
     "check_dagger_bridge",
     "check_stable_rule",
-    "check_stable_rule_in_context",
     "compose",
     "dagger",
     "embed_blocks",

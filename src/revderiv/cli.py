@@ -76,7 +76,12 @@ def _tower(f: PolyMap, order: int, mode: str) -> PolyMap:
     """The order-k tower of a single-block map; above f's degree it is the
     zero map of the tower's shape, built without iterating."""
     if order <= f.max_degree():
-        return (reverse_tower if mode == "reverse" else forward_tower)(f, order)
+        tower = reverse_tower if mode == "reverse" else forward_tower
+        # bottom up, so each order finds the one below it cached and the
+        # towers' recursion stays one level deep at any order
+        for k in range(1, order + 1):
+            result = tower(f, k)
+        return result
     n, m = f.domain.total, f.codomain_dim
     if mode == "reverse":
         return zero_map(ArityProfile((n, m) + (n,) * (order - 1)), n)

@@ -32,10 +32,6 @@ class ArityProfile:
         if any(d < 0 for d in self.blocks):
             raise ValueError(f"negative block dimension in {self.blocks}")
 
-    @staticmethod
-    def of(*blocks: int) -> "ArityProfile":
-        return ArityProfile(tuple(blocks))
-
     @property
     def total(self) -> int:
         return sum(self.blocks)

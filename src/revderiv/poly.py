@@ -78,12 +78,6 @@ class Polynomial:
         """Largest monomial degree; -1 for the zero polynomial."""
         return max((sum(m) for m, _ in self.terms), default=-1)
 
-    def coefficient(self, mono: Monomial) -> Scalar:
-        for m, c in self.terms:
-            if m == mono:
-                return c
-        return Fraction(0)
-
     def as_dict(self) -> dict[Monomial, Scalar]:
         return dict(self.terms)
 

@@ -64,33 +64,20 @@ def forward_tower(f: PolyMap, order: int) -> PolyMap:
     return partial_forward(forward_tower(f, order - 1), 1)
 
 
-def check_stable_rule(f: PolyMap) -> LawCheck:
-    """Reverse-deriving the forward derivative in its base argument agrees,
-    up to swapping the last two argument blocks, with reverse-deriving the
-    reverse derivative in its base argument."""
-    n = f.domain.total
-    m = f.codomain_dim
-    lhs_raw = partial_reverse(forward_derivative(f), 1)  # (n, n, m) -> n
-    src = ArityProfile((n, m, n))
-    lhs = precompose_blocks(lhs_raw, src, {1: 1, 2: 3, 3: 2})
-    rhs = partial_reverse(reverse_derivative(f), 1)  # (n, m, n) -> n
-    return LawCheck(lhs == rhs, lhs, rhs)
+def check_stable_rule(f: PolyMap, j: int = 1) -> LawCheck:
+    """Deriving f in block j forward and then in reverse agrees, up to swapping
+    the last two argument blocks, with deriving it in block j twice in reverse.
 
-
-def check_stable_rule_in_context(f: PolyMap) -> LawCheck:
-    """The same compatibility for a map with context blocks on both sides.
-
-    ``f`` must have a three-block domain (C1, A, C2); both derivatives are
-    taken in the middle block.
+    j = 1 of a one-block map is the first-order compatibility of the towers;
+    j = 2 of (C1, A, C2) is the same rule with context blocks on both sides.
     """
-    if f.domain.block_count != 3:
-        raise ValueError("the context form expects a three-block domain (C1, A, C2)")
-    c1, a, c2 = f.domain.blocks
-    m = f.codomain_dim
-    lhs_raw = partial_reverse(partial_forward(f, 2), 2)  # (c1,a,c2,a,m) -> a
-    src = ArityProfile((c1, a, c2, m, a))
-    lhs = precompose_blocks(lhs_raw, src, {1: 1, 2: 2, 3: 3, 4: 5, 5: 4})
-    rhs = partial_reverse(partial_reverse(f, 2), 2)  # (c1,a,c2,m,a) -> a
+    blocks = f.domain.blocks
+    nb = len(blocks)
+    lhs_raw = partial_reverse(partial_forward(f, j), j)  # blocks + (a, m) -> a
+    src = ArityProfile(blocks + (f.codomain_dim, blocks[j - 1]))
+    placement = {t: t for t in range(1, nb + 1)} | {nb + 1: nb + 2, nb + 2: nb + 1}
+    lhs = precompose_blocks(lhs_raw, src, placement)
+    rhs = partial_reverse(partial_reverse(f, j), j)  # blocks + (m, a) -> a
     return LawCheck(lhs == rhs, lhs, rhs)
 
 

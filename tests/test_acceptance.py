@@ -17,7 +17,7 @@ from revderiv.faa_di_bruno import fdb_report
 from revderiv.laws import (
     LAWS,
     LawFailure,
-    _reverse_chain_rhs,
+    _chain_rhs,
     law_ctx_rd1,
     law_ctx_rd2,
     law_ctx_rd3,
@@ -154,7 +154,7 @@ def test_criterion_7_reverse_partition_sum():
                 bad += 1
         # n=0 must be the reverse chain rule, byte for byte
         rep0 = fdb_report(f, g, 0, "reverse")
-        if str(rep0.total) != str(_reverse_chain_rhs(f, g)):
+        if str(rep0.total) != str(_chain_rhs(f, g, 1)):
             bad += 1
     bad += 0 if _two_summand_display_matches() else 1
     _verdict("7 reverse partition sum = iterated tower, n=0..3, 50 pairs", bad == 0)

@@ -1,6 +1,7 @@
 """The command-line contract: outputs, exit codes, determinism."""
 
 import json
+import math
 import os
 import random
 import subprocess
@@ -97,6 +98,17 @@ def test_derive_order_far_above_degree_is_zero(capsys, mode):
     assert code == 0 and err == ""
     # (n, m) + (n,) * 1999 and (n,) * 2001 coincide for n = m = 1
     assert json.loads(out) == {"map": "(0)", "domain_blocks": [1] * 2001, "codomain_dim": 1}
+
+
+@pytest.mark.parametrize("mode", ["reverse", "forward"])
+def test_derive_deep_tower_below_the_degree(capsys, mode):
+    # a tower order deeper than the interpreter's recursion limit allows
+    # when each order recurses into the one below it
+    code, out, err = run_cli(capsys, "derive", "--map", "(x1^600)", "--order", "600",
+                             "--mode", mode)
+    assert code == 0 and err == ""
+    (poly,) = parse_map(out.strip()).coords
+    assert [c for _, c in poly.terms] == [math.factorial(600)]
 
 
 @pytest.mark.parametrize("mode", ["reverse", "forward"])

@@ -102,3 +102,23 @@ def test_fdb_failures_carry_the_mode_in_their_id(monkeypatch, mode):
     failures = run_suite(f"fdb-{mode}", seed=1, cases=2).failures
     assert [f.law for f in failures] == [f"fdb-{mode}"] * 2
     assert (failures[0].lhs, failures[0].rhs) == ("(2*x1)", "(x1)")
+
+
+def test_every_law_reports_under_its_own_id(monkeypatch):
+    # every comparison fails, so each law reports the id it passes along
+    def fail(law, *_):
+        return LawFailure(law, [], "", "")
+
+    monkeypatch.setattr(laws, "_cmp", fail)
+    monkeypatch.setattr(laws, "_flag", fail)
+    cfg = CorpusConfig()
+    failed = set()
+    for suite, entries in LAWS.items():
+        for law_id, law in entries:
+            failure = law(random.Random(f"0/{law_id}"), cfg)
+            if failure is not None:
+                assert failure.law in (law_id, f"{law_id}-count"), (suite, law_id)
+                failed.add(law_id)
+    # the laws that compare through _cmp or _flag alone all reached them
+    for suite in ("rd-axioms", "context", "dagger"):
+        assert {law_id for law_id, _ in LAWS[suite]} <= failed

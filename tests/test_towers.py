@@ -12,7 +12,6 @@ from revderiv.syntax import parse_map
 from revderiv.towers import (
     check_dagger_bridge,
     check_stable_rule,
-    check_stable_rule_in_context,
     forward_tower,
     reverse_tower,
 )
@@ -89,9 +88,9 @@ def test_stable_rule_in_context_random():
     cfg = CorpusConfig()
     for _ in range(20):
         f = random_context_map(rng, cfg)
-        assert check_stable_rule_in_context(f).ok
-    with pytest.raises(ValueError):
-        check_stable_rule_in_context(parse_map("(x1)"))
+        assert check_stable_rule(f, 2).ok
+    with pytest.raises(IndexError):
+        check_stable_rule(parse_map("(x1)"), 2)
 
 
 def test_failed_check_carries_witness():
