@@ -32,7 +32,6 @@ from .maps import (
 )
 from .partitions import SetPartition, enumerate_partitions
 from .poly import Monomial, Polynomial
-from .scalar import Scalar
 from .syntax import ParseError, parse_map, parse_polynomial
 from .towers import (
     LawCheck,
@@ -57,7 +56,6 @@ __all__ = [
     "ParseError",
     "PolyMap",
     "Polynomial",
-    "Scalar",
     "SetPartition",
     "SUITE_NAMES",
     "check_dagger_bridge",

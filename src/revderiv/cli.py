@@ -27,12 +27,12 @@ from .corpus import CorpusConfig
 from .combinators import partial_forward, partial_reverse
 from .faa_di_bruno import fdb_report
 from .laws import SUITE_NAMES, LawReport, run_suite
-from .maps import ArityProfile, PolyMap, zero_map
 from .partitions import enumerate_partitions
 from .syntax import ParseError, parse_map
 from .towers import forward_tower, reverse_tower
 
 DEFAULT_FDB_CAP = 4
+DEFAULT_ORDER_CAP = 2000
 DEFAULT_PARTITIONS_CAP = 10  # Bell(10) = 115,975 partitions
 
 
@@ -72,22 +72,6 @@ def _parse_blocks(text: str | None) -> tuple[int, ...] | None:
     return blocks
 
 
-def _tower(f: PolyMap, order: int, mode: str) -> PolyMap:
-    """The order-k tower of a single-block map; above f's degree it is the
-    zero map of the tower's shape, built without iterating."""
-    if order <= f.max_degree():
-        tower = reverse_tower if mode == "reverse" else forward_tower
-        # bottom up, so each order finds the one below it cached and the
-        # towers' recursion stays one level deep at any order
-        for k in range(1, order + 1):
-            result = tower(f, k)
-        return result
-    n, m = f.domain.total, f.codomain_dim
-    if mode == "reverse":
-        return zero_map(ArityProfile((n, m) + (n,) * (order - 1)), n)
-    return zero_map(ArityProfile((n,) * (order + 1)), m)
-
-
 def cmd_derive(args: argparse.Namespace) -> int:
     try:
         f = parse_map(_read_expr(args.map), args.blocks)
@@ -95,6 +79,10 @@ def cmd_derive(args: argparse.Namespace) -> int:
         return _fail_parse(err)
     if args.order < 0:
         return _fail_usage("--order must be nonnegative")
+    # each order above the first is one more pass of the kernel
+    code = _check_cap("--order", args.order, DEFAULT_ORDER_CAP, "derive builds no higher tower")
+    if code is not None:
+        return code
     try:
         if args.order == 0:
             result = f
@@ -111,7 +99,8 @@ def cmd_derive(args: argparse.Namespace) -> int:
                     "total derivatives need a single-block domain; "
                     "use --partial J or declare one block"
                 )
-            result = _tower(f, args.order, args.mode)
+            tower = reverse_tower if args.mode == "reverse" else forward_tower
+            result = tower(f, args.order)
     except (ValueError, IndexError) as err:
         return _fail_usage(str(err))
     if args.json:
@@ -254,7 +243,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_derive.add_argument("--blocks", type=_parse_blocks, default=None, metavar="D1,D2,...",
                           help="domain block dimensions (default: one block)")
     p_derive.add_argument("--order", type=int, default=1,
-                          help="derivative order; 0 echoes the canonical input")
+                          help=f"derivative order, at most {DEFAULT_ORDER_CAP}; "
+                               "0 echoes the canonical input")
     p_derive.add_argument("--mode", choices=("reverse", "forward"), default="reverse")
     p_derive.add_argument("--partial", type=int, default=None, metavar="J",
                           help="take the partial derivative in block J (1-based)")

@@ -18,6 +18,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Callable, Sequence
 
 from .combinators import (
@@ -56,7 +57,6 @@ from .maps import (
     zero_map,
 )
 from .poly import Polynomial
-from .scalar import Scalar
 from .towers import check_dagger_bridge, check_stable_rule, forward_tower, reverse_tower
 
 BELL = {1: 1, 2: 2, 3: 5, 4: 15, 5: 52}
@@ -124,7 +124,7 @@ def _keep(nb: int) -> dict[int, int]:
     return {t: t for t in range(1, nb + 1)}
 
 
-def _linearity(law: str, f: PolyMap, g: PolyMap, s: Scalar, t: Scalar,
+def _linearity(law: str, f: PolyMap, g: PolyMap, s: Fraction, t: Fraction,
                j: int) -> LawFailure | None:
     """Linearity of the combinator: deriving a linear combination."""
     lhs = partial_reverse(f.scale(s) + g.scale(t), j)
@@ -538,7 +538,7 @@ def law_fdb_reverse_base(rng: random.Random, cfg: CorpusConfig) -> LawFailure | 
     f, g = random_composable_pair(rng, cfg)
     rep = fdb_report(f, g, 0, "reverse")
     rhs = _chain_rhs(f, g, 1)
-    if rep.total != rhs or str(rep.total) != str(rhs):
+    if rep.total != rhs:
         return LawFailure("fdb-reverse-base", [str(f), str(g)], str(rep.total), str(rhs))
     return None
 

@@ -10,10 +10,10 @@ composing with projections when needed.  Block indices in this module are
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .poly import Polynomial
-from .scalar import Scalar
 
 
 @dataclass(frozen=True)
@@ -85,7 +85,7 @@ class PolyMap:
     def codomain_dim(self) -> int:
         return len(self.coords)
 
-    def evaluate(self, point: Sequence[int | Scalar]) -> tuple[Scalar, ...]:
+    def evaluate(self, point: Sequence[int | Fraction]) -> tuple[Fraction, ...]:
         if len(point) != self.domain.total:
             raise ValueError(
                 f"point has {len(point)} coordinates, domain has {self.domain.total}"
@@ -97,7 +97,7 @@ class PolyMap:
             raise ValueError("can only add maps with identical domain and codomain")
         return PolyMap(self.domain, tuple(p + q for p, q in zip(self.coords, other.coords)))
 
-    def scale(self, value: int | Scalar) -> "PolyMap":
+    def scale(self, value: int | Fraction) -> "PolyMap":
         return PolyMap(self.domain, tuple(p.scale(value) for p in self.coords))
 
     def is_zero(self) -> bool:

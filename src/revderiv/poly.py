@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .scalar import Scalar
 
 Monomial = tuple[int, ...]
 
@@ -23,7 +22,7 @@ def _grlex_key(mono: Monomial) -> tuple[int, Monomial]:
     return (sum(mono), mono)
 
 
-def _canonical_terms(coeffs: Mapping[Monomial, Scalar]) -> tuple[tuple[Monomial, Scalar], ...]:
+def _canonical_terms(coeffs: Mapping[Monomial, Fraction]) -> tuple[tuple[Monomial, Fraction], ...]:
     items = [(m, c) for m, c in coeffs.items() if c != 0]
     items.sort(key=lambda item: _grlex_key(item[0]), reverse=True)
     return tuple(items)
@@ -38,12 +37,12 @@ class Polynomial:
     """
 
     dim: int
-    terms: tuple[tuple[Monomial, Scalar], ...]
+    terms: tuple[tuple[Monomial, Fraction], ...]
 
     # -- constructors -------------------------------------------------
 
     @staticmethod
-    def from_dict(dim: int, coeffs: Mapping[Monomial, Scalar]) -> "Polynomial":
+    def from_dict(dim: int, coeffs: Mapping[Monomial, Fraction]) -> "Polynomial":
         for mono in coeffs:
             if len(mono) != dim:
                 raise ValueError(f"monomial {mono} has {len(mono)} exponents, expected {dim}")
@@ -56,7 +55,7 @@ class Polynomial:
         return Polynomial(dim, ())
 
     @staticmethod
-    def constant(dim: int, value: int | Scalar) -> "Polynomial":
+    def constant(dim: int, value: int | Fraction) -> "Polynomial":
         c = Fraction(value)
         if c == 0:
             return Polynomial.zero(dim)
@@ -78,7 +77,7 @@ class Polynomial:
         """Largest monomial degree; -1 for the zero polynomial."""
         return max((sum(m) for m, _ in self.terms), default=-1)
 
-    def as_dict(self) -> dict[Monomial, Scalar]:
+    def as_dict(self) -> dict[Monomial, Fraction]:
         return dict(self.terms)
 
     # -- k-module and ring structure -----------------------------------
@@ -104,17 +103,17 @@ class Polynomial:
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + (-other)
 
-    def scale(self, value: int | Scalar) -> "Polynomial":
+    def scale(self, value: int | Fraction) -> "Polynomial":
         c = Fraction(value)
         if c == 0:
             return Polynomial.zero(self.dim)
         return Polynomial(self.dim, tuple((m, c * k) for m, k in self.terms))
 
-    def __mul__(self, other: "Polynomial | int | Scalar") -> "Polynomial":
+    def __mul__(self, other: "Polynomial | int | Fraction") -> "Polynomial":
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         self._require_same_dim(other)
-        acc: dict[Monomial, Scalar] = {}
+        acc: dict[Monomial, Fraction] = {}
         for m1, c1 in self.terms:
             for m2, c2 in other.terms:
                 m = tuple(a + b for a, b in zip(m1, m2))
@@ -125,7 +124,7 @@ class Polynomial:
                     acc[m] = s
         return Polynomial(self.dim, _canonical_terms(acc))
 
-    def __rmul__(self, other: "int | Scalar") -> "Polynomial":
+    def __rmul__(self, other: "int | Fraction") -> "Polynomial":
         return self.scale(other)
 
     def __pow__(self, exponent: int) -> "Polynomial":
@@ -147,7 +146,7 @@ class Polynomial:
         """Symbolic partial derivative in coordinate ``index`` (power rule)."""
         if not 0 <= index < self.dim:
             raise IndexError(f"coordinate index {index} out of range for dimension {self.dim}")
-        acc: dict[Monomial, Scalar] = {}
+        acc: dict[Monomial, Fraction] = {}
         for m, c in self.terms:
             e = m[index]
             if e == 0:
@@ -158,7 +157,7 @@ class Polynomial:
 
     # -- evaluation and substitution -------------------------------------
 
-    def evaluate(self, point: Sequence[int | Scalar]) -> Scalar:
+    def evaluate(self, point: Sequence[int | Fraction]) -> Fraction:
         if len(point) != self.dim:
             raise ValueError(f"point has {len(point)} coordinates, expected {self.dim}")
         values = [Fraction(v) for v in point]
@@ -212,7 +211,7 @@ class Polynomial:
         for s in sources:
             if s is not None and not 0 <= s < dim:
                 raise IndexError(f"source coordinate {s} out of range for dimension {dim}")
-        acc: dict[Monomial, Scalar] = {}
+        acc: dict[Monomial, Fraction] = {}
         for m, c in self.terms:
             new = [0] * dim
             for i, e in enumerate(m):

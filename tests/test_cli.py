@@ -101,6 +101,19 @@ def test_derive_order_far_above_degree_is_zero(capsys, mode):
 
 
 @pytest.mark.parametrize("mode", ["reverse", "forward"])
+def test_derive_order_over_the_cap_builds_no_tower(capsys, monkeypatch, mode):
+    def no_tower(f, order):
+        raise AssertionError("a tower was built past the cap")
+
+    monkeypatch.setattr(cli, "reverse_tower", no_tower)
+    monkeypatch.setattr(cli, "forward_tower", no_tower)
+    code, out, err = run_cli(capsys, "derive", "--map", "(x1^2)",
+                             "--order", str(cli.DEFAULT_ORDER_CAP + 1), "--mode", mode)
+    assert code == 2 and out == ""
+    assert "--order 2001 exceeds the cap 2000" in err
+
+
+@pytest.mark.parametrize("mode", ["reverse", "forward"])
 def test_derive_deep_tower_below_the_degree(capsys, mode):
     # a tower order deeper than the interpreter's recursion limit allows
     # when each order recurses into the one below it

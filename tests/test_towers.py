@@ -1,5 +1,6 @@
 """Higher-order towers: shapes, frozen values, stable rule, transpose bridge."""
 
+import math
 import random
 
 import pytest
@@ -23,6 +24,12 @@ def test_reverse_tower_of_cube():
     assert str(reverse_tower(f, 2)) == "(6*x1*x2*x3)"
     assert str(reverse_tower(f, 3)) == "(6*x2*x3*x4)"
     assert reverse_tower(f, 4).is_zero()
+
+
+@pytest.mark.parametrize("tower", [reverse_tower, forward_tower])
+def test_tower_deeper_than_the_recursion_limit(tower):
+    (poly,) = tower(parse_map("(x1^600)"), 600).coords
+    assert [c for _, c in poly.terms] == [math.factorial(600)]
 
 
 def test_reverse_tower_order_zero_is_f():
