@@ -120,11 +120,8 @@ def _print_report(report: LawReport) -> None:
         f"suite {report.suite}: seed {report.seed}, {report.cases} cases per law, "
         f"{len(report.laws)} laws, {status} ({report.elapsed_ms} ms)"
     )
-    per_law = {law: 0 for law in report.laws}
-    for failure in report.failures:
-        per_law[failure.law] = per_law.get(failure.law, 0) + 1
-    for law in report.laws:
-        verdict = "ok" if per_law[law] == 0 else f"{per_law[law]} failures"
+    for law, count in zip(report.laws, report.law_failures):
+        verdict = "ok" if count == 0 else f"{count} failures"
         print(f"  {law}: {report.cases} cases, {verdict}")
     for failure in report.failures:
         print(f"  FAIL {failure.law}")

@@ -84,7 +84,7 @@ def random_dlinear_map(rng: random.Random, profile: ArityProfile, j: int,
     others = [i for i in range(dim) if i not in block]
     coords = []
     for _ in range(codomain_dim):
-        acc = Polynomial.zero(dim)
+        summands = []
         for i in block:
             # coefficient polynomial over the other coordinates only
             coeffs: dict[tuple[int, ...], Fraction] = {}
@@ -95,9 +95,8 @@ def random_dlinear_map(rng: random.Random, profile: ArityProfile, j: int,
                         exps[rng.choice(others)] += 1
                 mono = tuple(exps)
                 coeffs[mono] = coeffs.get(mono, Fraction(0)) + rng.choice(COEFF_POOL)
-            coef_poly = Polynomial.from_dict(dim, coeffs)
-            acc = acc + coef_poly * Polynomial.variable(i, dim)
-        coords.append(acc)
+            summands.append(Polynomial.from_dict(dim, coeffs) * Polynomial.variable(i, dim))
+        coords.append(Polynomial.sum(dim, summands))
     return PolyMap(profile, tuple(coords))
 
 

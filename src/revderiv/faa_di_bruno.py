@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .maps import ArityProfile, PolyMap, compose, pair, precompose_blocks, select_blocks, zero_map
+from .maps import ArityProfile, PolyMap, compose, pair, precompose_blocks, select_blocks, sum_maps
 from .partitions import SetPartition, enumerate_partitions
 from .poly import Polynomial
 from .towers import forward_tower, reverse_tower
@@ -129,17 +129,13 @@ def _first_difference(lhs: PolyMap, rhs: PolyMap) -> str | None:
         return None
     if lhs.domain != rhs.domain or lhs.codomain_dim != rhs.codomain_dim:
         return f"shape mismatch: {lhs.domain}->{lhs.codomain_dim} vs {rhs.domain}->{rhs.codomain_dim}"
-    for i, (p, q) in enumerate(zip(lhs.coords, rhs.coords)):
-        if p == q:
-            continue
-        dp, dq = p.as_dict(), q.as_dict()
-        monos = sorted(set(dp) | set(dq), key=lambda m: (sum(m), m), reverse=True)
-        for mono in monos:
-            cl, cr = dp.get(mono, 0), dq.get(mono, 0)
-            if cl != cr:
-                text = str(Polynomial(len(mono), ((mono, Fraction(1)),)))
-                return f"coordinate {i + 1}, monomial {text}: {cl} vs {cr}"
-    return "coordinate count mismatch"
+    i = next(i for i, (p, q) in enumerate(zip(lhs.coords, rhs.coords)) if p != q)
+    p, q = lhs.coords[i], rhs.coords[i]
+    # the leading monomial of the difference is the highest one that differs
+    mono = (p - q).terms[0][0]
+    text = str(Polynomial(p.dim, ((mono, Fraction(1)),)))
+    cl, cr = p.as_dict().get(mono, 0), q.as_dict().get(mono, 0)
+    return f"coordinate {i + 1}, monomial {text}: {cl} vs {cr}"
 
 
 def fdb_report(f: PolyMap, g: PolyMap, n: int, mode: str) -> FdbReport:
@@ -157,7 +153,7 @@ def fdb_report(f: PolyMap, g: PolyMap, n: int, mode: str) -> FdbReport:
         build, tower = _reverse_summand, reverse_tower
     summands = tuple(build(f, g, dom, part) for part in enumerate_partitions(n + 1))
     oracle = tower(composite, n + 1)
-    total = sum((s.result for s in summands), zero_map(dom, oracle.codomain_dim))
+    total = sum_maps(dom, oracle.codomain_dim, [s.result for s in summands])
     return FdbReport(
         mode=mode,
         order=n,

@@ -54,6 +54,7 @@ from .maps import (
     projection,
     reblock,
     select_blocks,
+    sum_maps,
     zero_map,
 )
 from .poly import Polynomial
@@ -78,6 +79,8 @@ class LawReport:
     failures: list[LawFailure]
     elapsed_ms: int
     laws: list[str] = field(default_factory=list)
+    # failures per entry of ``laws``; a law may report under a finer id
+    law_failures: list[int] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
@@ -145,10 +148,10 @@ def _tuple_rule(law: str, fs: Sequence[PolyMap], j: int) -> LawFailure | None:
     nb = len(blocks)
     lhs = partial_reverse(pair(fs), j)
     fine = ArityProfile(blocks + tuple(f.codomain_dim for f in fs))
-    rhs_fine = zero_map(fine, blocks[j - 1])
-    for idx, f in enumerate(fs):
-        placement = _keep(nb) | {nb + 1: nb + 1 + idx}
-        rhs_fine = rhs_fine + precompose_blocks(partial_reverse(f, j), fine, placement)
+    rhs_fine = sum_maps(fine, blocks[j - 1], [
+        precompose_blocks(partial_reverse(f, j), fine, _keep(nb) | {nb + 1: nb + 1 + idx})
+        for idx, f in enumerate(fs)
+    ])
     return _cmp(law, fs, lhs, reblock(rhs_fine, lhs.domain))
 
 
@@ -428,9 +431,9 @@ def law_second_reverse(rng: random.Random, cfg: CorpusConfig) -> LawFailure | No
     n, m = f.domain.total, f.codomain_dim
     dim = 2 * n + m
     hessian = PolyMap(ArityProfile((n, m, n)), tuple(
-        sum((fk.partial(i).partial(j).pad(dim) * Polynomial.variable(n + k, dim)
-             * Polynomial.variable(n + m + j, dim)
-             for k, fk in enumerate(f.coords) for j in range(n)), Polynomial.zero(dim))
+        Polynomial.sum(dim, (fk.partial(i).partial(j).pad(dim) * Polynomial.variable(n + k, dim)
+                             * Polynomial.variable(n + m + j, dim)
+                             for k, fk in enumerate(f.coords) for j in range(n)))
         for i in range(n)
     ))
     return _cmp("second-reverse", [f], reverse_tower(f, 2), hessian)
@@ -625,13 +628,13 @@ def run_suite(suite: str, seed: int = 42, cases: int = 100,
     start = time.perf_counter()
     failures: list[LawFailure] = []
     law_ids: list[str] = []
+    law_failures: list[int] = []
     for law_id, law in LAWS[suite]:
-        law_ids.append(law_id)
         rng = random.Random(f"{seed}/{law_id}")
-        for _ in range(cases):
-            failure = law(rng, cfg)
-            if failure is not None:
-                failures.append(failure)
+        found = [fail for fail in (law(rng, cfg) for _ in range(cases)) if fail is not None]
+        failures += found
+        law_ids.append(law_id)
+        law_failures.append(len(found))
     elapsed_ms = int((time.perf_counter() - start) * 1000)
-    return LawReport(suite, seed, cases, failures, elapsed_ms, law_ids)
+    return LawReport(suite, seed, cases, failures, elapsed_ms, law_ids, law_failures)
 

@@ -93,9 +93,7 @@ class PolyMap:
         return tuple(p.evaluate(point) for p in self.coords)
 
     def __add__(self, other: "PolyMap") -> "PolyMap":
-        if self.domain != other.domain or self.codomain_dim != other.codomain_dim:
-            raise ValueError("can only add maps with identical domain and codomain")
-        return PolyMap(self.domain, tuple(p + q for p, q in zip(self.coords, other.coords)))
+        return sum_maps(self.domain, self.codomain_dim, (self, other))
 
     def scale(self, value: int | Fraction) -> "PolyMap":
         return PolyMap(self.domain, tuple(p.scale(value) for p in self.coords))
@@ -122,6 +120,17 @@ def identity(domain: ArityProfile | int) -> PolyMap:
 def zero_map(domain: ArityProfile, codomain_dim: int) -> PolyMap:
     zero = Polynomial.zero(domain.total)
     return PolyMap(domain, (zero,) * codomain_dim)
+
+
+def sum_maps(domain: ArityProfile, codomain_dim: int, maps: Sequence[PolyMap]) -> PolyMap:
+    """The coordinatewise sum of any number of maps domain -> codomain_dim;
+    each coordinate is added up and canonicalized once."""
+    for f in maps:
+        if f.domain != domain or f.codomain_dim != codomain_dim:
+            raise ValueError("can only add maps with identical domain and codomain")
+    return PolyMap(domain, tuple(
+        Polynomial.sum(domain.total, (f.coords[i] for f in maps)) for i in range(codomain_dim)
+    ))
 
 
 def projection(domain: ArityProfile, j: int) -> PolyMap:

@@ -6,26 +6,37 @@ equality is positional and padding a polynomial into a larger coordinate
 space is explicit.  Terms are stored sorted in descending graded-lexicographic
 order with no zero coefficients, which makes structural equality coincide
 with mathematical equality and makes printing deterministic.
+
+Every operation in which like terms can meet streams its raw terms into one
+accumulator that merges them in one dict and sorts once, and
+:meth:`Polynomial.sum` adds any number of polynomials the same way.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from math import prod
+from typing import Iterable, Mapping, Sequence
 
 
 Monomial = tuple[int, ...]
 
 
-def _grlex_key(mono: Monomial) -> tuple[int, Monomial]:
-    return (sum(mono), mono)
-
-
 def _canonical_terms(coeffs: Mapping[Monomial, Fraction]) -> tuple[tuple[Monomial, Fraction], ...]:
+    """Drop zero coefficients and sort descending in (degree, monomial)."""
     items = [(m, c) for m, c in coeffs.items() if c != 0]
-    items.sort(key=lambda item: _grlex_key(item[0]), reverse=True)
+    items.sort(key=lambda item: (sum(item[0]), item[0]), reverse=True)
     return tuple(items)
+
+
+def _accumulate(dim: int, terms: Iterable[tuple[Monomial, Fraction]]) -> "Polynomial":
+    """The one place where terms merge: like monomials add up in one dict,
+    which is canonicalized once; zero sums are dropped then, not while merging."""
+    acc: dict[Monomial, Fraction] = {}
+    for m, c in terms:
+        acc[m] = acc[m] + c if m in acc else c
+    return Polynomial(dim, _canonical_terms(acc))
 
 
 @dataclass(frozen=True)
@@ -62,6 +73,15 @@ class Polynomial:
         return Polynomial(dim, (((0,) * dim, c),))
 
     @staticmethod
+    def sum(dim: int, polys: Iterable["Polynomial"]) -> "Polynomial":
+        """The sum of any number of polynomials in ``dim`` coordinates."""
+        polys = tuple(polys)
+        for p in polys:
+            if p.dim != dim:
+                raise ValueError(f"dimension mismatch: {dim} vs {p.dim}")
+        return _accumulate(dim, (t for p in polys for t in p.terms))
+
+    @staticmethod
     def variable(index: int, dim: int) -> "Polynomial":
         if not 0 <= index < dim:
             raise IndexError(f"coordinate index {index} out of range for dimension {dim}")
@@ -82,20 +102,8 @@ class Polynomial:
 
     # -- k-module and ring structure -----------------------------------
 
-    def _require_same_dim(self, other: "Polynomial") -> None:
-        if self.dim != other.dim:
-            raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
-
     def __add__(self, other: "Polynomial") -> "Polynomial":
-        self._require_same_dim(other)
-        acc = dict(self.terms)
-        for m, c in other.terms:
-            s = acc.get(m, Fraction(0)) + c
-            if s == 0:
-                acc.pop(m, None)
-            else:
-                acc[m] = s
-        return Polynomial(self.dim, _canonical_terms(acc))
+        return Polynomial.sum(self.dim, (self, other))
 
     def __neg__(self) -> "Polynomial":
         return Polynomial(self.dim, tuple((m, -c) for m, c in self.terms))
@@ -112,17 +120,12 @@ class Polynomial:
     def __mul__(self, other: "Polynomial | int | Fraction") -> "Polynomial":
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
-        self._require_same_dim(other)
-        acc: dict[Monomial, Fraction] = {}
-        for m1, c1 in self.terms:
-            for m2, c2 in other.terms:
-                m = tuple(a + b for a, b in zip(m1, m2))
-                s = acc.get(m, Fraction(0)) + c1 * c2
-                if s == 0:
-                    acc.pop(m, None)
-                else:
-                    acc[m] = s
-        return Polynomial(self.dim, _canonical_terms(acc))
+        if self.dim != other.dim:
+            raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
+        return _accumulate(self.dim, (
+            (tuple(a + b for a, b in zip(m1, m2)), c1 * c2)
+            for m1, c1 in self.terms for m2, c2 in other.terms
+        ))
 
     def __rmul__(self, other: "int | Fraction") -> "Polynomial":
         return self.scale(other)
@@ -146,14 +149,10 @@ class Polynomial:
         """Symbolic partial derivative in coordinate ``index`` (power rule)."""
         if not 0 <= index < self.dim:
             raise IndexError(f"coordinate index {index} out of range for dimension {self.dim}")
-        acc: dict[Monomial, Fraction] = {}
-        for m, c in self.terms:
-            e = m[index]
-            if e == 0:
-                continue
-            lowered = m[:index] + (e - 1,) + m[index + 1:]
-            acc[lowered] = acc.get(lowered, Fraction(0)) + c * e
-        return Polynomial(self.dim, _canonical_terms(acc))
+        return _accumulate(self.dim, (
+            (m[:index] + (m[index] - 1,) + m[index + 1:], c * m[index])
+            for m, c in self.terms if m[index]
+        ))
 
     # -- evaluation and substitution -------------------------------------
 
@@ -161,14 +160,8 @@ class Polynomial:
         if len(point) != self.dim:
             raise ValueError(f"point has {len(point)} coordinates, expected {self.dim}")
         values = [Fraction(v) for v in point]
-        total = Fraction(0)
-        for m, c in self.terms:
-            term = c
-            for v, e in zip(values, m):
-                if e:
-                    term *= v ** e
-            total += term
-        return total
+        return sum((c * prod(v ** e for v, e in zip(values, m) if e) for m, c in self.terms),
+                   Fraction(0))
 
     def substitute(self, args: Sequence["Polynomial"], dim: int | None = None) -> "Polynomial":
         """Substitute ``args[i]`` for coordinate ``i``; all args share one space."""
@@ -181,22 +174,20 @@ class Polynomial:
                     raise ValueError("substitution arguments live in different spaces")
         elif dim is None:
             raise ValueError("substituting into a 0-coordinate polynomial needs an explicit dim")
-        result = Polynomial.zero(dim)
         powers: dict[tuple[int, int], Polynomial] = {}
 
-        def power(i: int, e: int) -> Polynomial:
-            key = (i, e)
-            if key not in powers:
-                powers[key] = args[i] ** e
-            return powers[key]
+        def expanded():
+            # every term's expansion goes into the one accumulator
+            for m, c in self.terms:
+                term = Polynomial.constant(dim, c)
+                for i, e in enumerate(m):
+                    if e:
+                        if (i, e) not in powers:
+                            powers[i, e] = args[i] ** e
+                        term = term * powers[i, e]
+                yield from term.terms
 
-        for m, c in self.terms:
-            term = Polynomial.constant(dim, c)
-            for i, e in enumerate(m):
-                if e:
-                    term = term * power(i, e)
-            result = result + term
-        return result
+        return _accumulate(dim, expanded())
 
     def reindex(self, sources: Sequence[int | None], dim: int) -> "Polynomial":
         """Substitute coordinate ``sources[i]`` of a ``dim``-space, or zero when
@@ -211,19 +202,20 @@ class Polynomial:
         for s in sources:
             if s is not None and not 0 <= s < dim:
                 raise IndexError(f"source coordinate {s} out of range for dimension {dim}")
-        acc: dict[Monomial, Fraction] = {}
-        for m, c in self.terms:
-            new = [0] * dim
-            for i, e in enumerate(m):
-                if e:
-                    s = sources[i]
-                    if s is None:
-                        break
-                    new[s] += e
-            else:
-                key = tuple(new)
-                acc[key] = acc.get(key, Fraction(0)) + c
-        return Polynomial(dim, _canonical_terms(acc))
+
+        def routed():
+            for m, c in self.terms:
+                new = [0] * dim
+                for i, e in enumerate(m):
+                    if e:
+                        s = sources[i]
+                        if s is None:
+                            break
+                        new[s] += e
+                else:
+                    yield tuple(new), c
+
+        return _accumulate(dim, routed())
 
     def pad(self, dim: int) -> "Polynomial":
         """Embed into a larger space by appending fresh trailing coordinates."""

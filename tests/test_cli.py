@@ -1,5 +1,6 @@
 """The command-line contract: outputs, exit codes, determinism."""
 
+import dataclasses
 import json
 import math
 import os
@@ -12,8 +13,8 @@ import pytest
 
 from revderiv import cli, laws
 from revderiv.laws import LAWS, LawFailure
+from revderiv.maps import ArityProfile, zero_map
 from revderiv.syntax import parse_map
-from revderiv.towers import forward_tower, reverse_tower
 
 
 def run_cli(capsys, *argv):
@@ -126,22 +127,25 @@ def test_derive_deep_tower_below_the_degree(capsys, mode):
 
 @pytest.mark.parametrize("mode", ["reverse", "forward"])
 @pytest.mark.parametrize("text", ["(x1^2*x2 - x3, 3, x2^3)", "(x1^2)", "(2, 1/2)", "()"])
-def test_derive_zero_shortcut_matches_iterated_tower(capsys, mode, text):
-    # two orders above the degree, the shortcut prints what iterating does
+def test_derive_past_the_degree_prints_the_zero_map(capsys, mode, text):
+    # two orders above the degree every derivative vanishes; the shape is the
+    # tower's: reverse (n, m, n, ..., n) -> n, forward (n, ..., n) -> m
     f = parse_map(text)
-    order = f.max_degree() + 2
-    tower = reverse_tower if mode == "reverse" else forward_tower
-    expected = tower(f, order)
-    for extra in ([], ["--json"]):
-        code, out, _ = run_cli(capsys, "derive", "--map", text, "--order", str(order),
-                               "--mode", mode, *extra)
-        assert code == 0
-        if extra:
-            assert out == json.dumps({"map": str(expected),
-                                      "domain_blocks": list(expected.domain.blocks),
-                                      "codomain_dim": expected.codomain_dim}) + "\n"
-        else:
-            assert out == f"{expected}\n"
+    n, m, order = f.domain.total, f.codomain_dim, f.max_degree() + 2
+    if mode == "reverse":
+        expected = zero_map(ArityProfile((n, m) + (n,) * (order - 1)), n)
+    else:
+        expected = zero_map(ArityProfile((n,) * (order + 1)), m)
+    code, out, _ = run_cli(capsys, "derive", "--map", text, "--order", str(order),
+                           "--mode", mode)
+    assert code == 0
+    assert out == "(" + ", ".join(["0"] * expected.codomain_dim) + ")\n"
+    code, out, _ = run_cli(capsys, "derive", "--map", text, "--order", str(order),
+                           "--mode", mode, "--json")
+    assert code == 0
+    assert json.loads(out) == {"map": str(expected),
+                               "domain_blocks": list(expected.domain.blocks),
+                               "codomain_dim": expected.codomain_dim}
 
 
 def test_derive_stdin(capsys, monkeypatch):
@@ -244,6 +248,36 @@ def test_verify_failure_exits_1(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "verify", "--suite", "rd-axioms", "--cases", "2")
     assert code == 1
     assert "FAIL broken" in out
+
+
+def test_verify_counts_each_failure_under_the_law_that_ran(capsys, monkeypatch):
+    # a report missing a summand fails under the finer id fdb-{mode}-count,
+    # and its zero total fails fdb-reverse-base, whose id extends fdb-reverse
+    real = laws.fdb_report
+
+    def short(f, g, n, mode):
+        rep = real(f, g, n, mode)
+        return dataclasses.replace(rep, summands=rep.summands[1:],
+                                   total=zero_map(rep.total.domain, rep.total.codomain_dim))
+
+    monkeypatch.setattr(laws, "fdb_report", short)
+    args = ("--cases", "2", "--seed", "42")
+    code, out, _ = run_cli(capsys, "verify", "--suite", "fdb-forward", *args)
+    assert code == 1
+    assert ", 1 laws, 2 failures (" in out.splitlines()[0]
+    assert out.splitlines()[1] == "  fdb-forward: 2 cases, 2 failures"
+    assert out.count("  FAIL fdb-forward-count\n") == 2
+    code, out, _ = run_cli(capsys, "verify", "--suite", "fdb-reverse", *args)
+    assert code == 1
+    assert out.splitlines()[1:4] == [
+        "  fdb-reverse: 2 cases, 2 failures",
+        "  fdb-reverse-base: 2 cases, 2 failures",
+        "  fdb-reverse-structure: 2 cases, ok",
+    ]
+    # the failure ids in the JSON are the ones the laws reported
+    code, out, _ = run_cli(capsys, "verify", "--suite", "fdb-reverse", *args, "--json")
+    assert [f["law"] for f in json.loads(out)["failures"]] == ["fdb-reverse-count"] * 2 + [
+        "fdb-reverse-base"] * 2
 
 
 def test_verify_seed_env_var(capsys, monkeypatch):

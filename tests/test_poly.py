@@ -6,6 +6,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
+from revderiv.maps import ArityProfile, PolyMap, sum_maps, zero_map
 from revderiv.poly import Polynomial
 
 
@@ -40,6 +41,24 @@ def power_rule(p, i):
     return merge_terms(raw)
 
 
+def naive_substitute(p, args, dim):
+    """Oracle: expand each term by repeated all-pairs products, then merge."""
+    raw = []
+    for mono, c in p.terms:
+        term = Polynomial.constant(dim, c)
+        for arg, e in zip(args, mono):
+            for _ in range(e):
+                term = Polynomial.from_dict(dim, expand_product(term, arg))
+        raw.extend(term.terms)
+    return merge_terms(raw)
+
+
+def is_canonical(p):
+    """Strictly descending in (degree, monomial), with no zero coefficient."""
+    keys = [(sum(m), m) for m, _ in p.terms]
+    return all(a > b for a, b in zip(keys, keys[1:])) and all(c != 0 for _, c in p.terms)
+
+
 def direct_eval(p, point):
     total = Fraction(0)
     for mono, c in p.terms:
@@ -67,6 +86,22 @@ def polynomials(draw, dim=None, max_dim=3, max_degree=3):
         c = Fraction(draw(st.integers(-6, 6)), draw(st.integers(1, 4)))
         coeffs[mono] = coeffs.get(mono, Fraction(0)) + c
     return Polynomial.from_dict(dim, coeffs)
+
+
+@st.composite
+def substitutions(draw):
+    """A polynomial and one argument per coordinate, all in one target space."""
+    p = draw(polynomials(max_degree=2))
+    dim = draw(st.integers(1, 3))
+    return p, [draw(polynomials(dim=dim, max_degree=2)) for _ in range(p.dim)]
+
+
+@st.composite
+def poly_lists(draw):
+    """Up to four polynomials in one space, plus the negative of the first."""
+    dim = draw(st.integers(1, 3))
+    ps = [draw(polynomials(dim=dim)) for _ in range(draw(st.integers(0, 4)))]
+    return dim, ps + [-p for p in ps[:1]]
 
 
 @st.composite
@@ -225,3 +260,52 @@ def test_polynomials_are_immutable():
     p = P(1, {(1,): 1})
     with pytest.raises(AttributeError):
         p.dim = 2
+
+
+@given(substitutions())
+def test_substitute_against_naive_expansion(case):
+    p, args = case
+    assert p.substitute(args).as_dict() == naive_substitute(p, args, args[0].dim)
+
+
+@given(poly_lists())
+def test_sum_against_merge_oracle(case):
+    dim, ps = case
+    total = Polynomial.sum(dim, ps)
+    assert total.as_dict() == merge_terms([t for p in ps for t in p.terms])
+    assert is_canonical(total)
+    for p in ps:
+        # an exact cancellation leaves no term behind
+        assert Polynomial.sum(dim, [p, -p]) == Polynomial.zero(dim)
+
+
+@given(poly_lists())
+def test_map_sum_against_merge_oracle(case):
+    dim, ps = case
+    domain = ArityProfile((dim,))
+    # two-coordinate maps: (p, p * x1) for each p
+    x1 = Polynomial.variable(0, dim)
+    maps = [PolyMap(domain, (p, p * x1)) for p in ps]
+    total = sum_maps(domain, 2, maps)
+    for i in range(2):
+        assert total.coords[i].as_dict() == merge_terms(
+            [t for f in maps for t in f.coords[i].terms])
+    for f in maps:
+        assert sum_maps(domain, 2, [f, f.scale(-1)]) == zero_map(domain, 2)
+    with pytest.raises(ValueError):
+        sum_maps(domain, 3, [zero_map(domain, 2)])
+
+
+@given(poly_triples(), substitutions())
+def test_every_operation_returns_canonical_terms(ps, case):
+    p, q, r = ps
+    outputs = [p + q, p - q, -p, p * q, (p + q) * r, p.scale(3), p.scale(0), p ** 2,
+               Polynomial.sum(p.dim, [p, q, r, -q]), p.pad(p.dim + 1)]
+    outputs += [p.partial(i) for i in range(p.dim)]
+    # route coordinate i to the last coordinate, or drop it
+    outputs.append(p.reindex([p.dim - 1 if i % 2 else None for i in range(p.dim)], p.dim))
+    outputs.append(p.reindex([0] * p.dim, 1))
+    s, args = case
+    outputs.append(s.substitute(args))
+    for out in outputs:
+        assert is_canonical(out), out.terms
