@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .maps import ArityProfile, PolyMap
-from .poly import Polynomial
+from .poly import Polynomial, _accumulate
 
 COEFF_POOL = tuple(Fraction(k) for k in range(-3, 4)) + (Fraction(1, 2),)
 
@@ -36,11 +36,9 @@ def random_monomial(rng: random.Random, dim: int, max_degree: int) -> tuple[int,
 
 
 def random_polynomial(rng: random.Random, dim: int, max_degree: int, max_terms: int = 4) -> Polynomial:
-    coeffs: dict[tuple[int, ...], Fraction] = {}
-    for _ in range(rng.randint(1, max_terms)):
-        mono = random_monomial(rng, dim, max_degree)
-        coeffs[mono] = coeffs.get(mono, Fraction(0)) + rng.choice(COEFF_POOL)
-    return Polynomial.from_dict(dim, coeffs)
+    # a seed fixes the corpus only while each term draws its monomial, then its coefficient
+    return _accumulate(dim, ((random_monomial(rng, dim, max_degree), rng.choice(COEFF_POOL))
+                             for _ in range(rng.randint(1, max_terms))))
 
 
 def random_map(rng: random.Random, profile: ArityProfile, codomain_dim: int,
@@ -87,15 +85,14 @@ def random_dlinear_map(rng: random.Random, profile: ArityProfile, j: int,
         summands = []
         for i in block:
             # coefficient polynomial over the other coordinates only
-            coeffs: dict[tuple[int, ...], Fraction] = {}
+            terms = []
             for _ in range(rng.randint(0, cfg.max_terms - 1)):
                 exps = [0] * dim
                 for _ in range(rng.randint(0, cfg.max_degree - 1)):
                     if others:
                         exps[rng.choice(others)] += 1
-                mono = tuple(exps)
-                coeffs[mono] = coeffs.get(mono, Fraction(0)) + rng.choice(COEFF_POOL)
-            summands.append(Polynomial.from_dict(dim, coeffs) * Polynomial.variable(i, dim))
+                terms.append((tuple(exps), rng.choice(COEFF_POOL)))
+            summands.append(_accumulate(dim, terms) * Polynomial.variable(i, dim))
         coords.append(Polynomial.sum(dim, summands))
     return PolyMap(profile, tuple(coords))
 

@@ -13,6 +13,18 @@ based at f(a0) and fed with the covector.  Summed over all partitions with
 1 in the first block, this reconstructs the order-(n+1) reverse derivative
 of the composite.  Both sums are verified against the plain iterated-tower
 oracle computed independently in :mod:`revderiv.towers`.
+
+A summand is natural in its labels: for a bijection sigma of {1, ..., n+1},
+the summand of sigma(pi) is the summand of pi with its vector blocks
+relabelled by sigma.  The forward tower is symmetric in its vector blocks and
+the reverse tower in its trailing blocks, so neither the order of the blocks
+nor the order within one matters.  In reverse mode label 1 names the
+covector, so sigma must fix 1.  Only one summand per *shape* therefore needs a
+real substitution: in forward mode a shape is the multiset of block sizes, in
+reverse mode the size of 1's block together with the multiset of the other
+sizes.  Every other summand re-indexes its shape's, which rewrites exponents
+only (Constantine & Savits, Trans. AMS 348(2), 1996; Hardy, Electron. J.
+Combin. 13, 2006).
 """
 
 from __future__ import annotations
@@ -20,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .maps import ArityProfile, PolyMap, compose, pair, precompose_blocks, select_blocks, sum_maps
+from .maps import ArityProfile, PolyMap, compose, pair, precompose_blocks, projection, sum_maps
 from .partitions import SetPartition, enumerate_partitions
 from .poly import Polynomial
 from .towers import forward_tower, reverse_tower
@@ -93,35 +105,76 @@ def _forward_factor(f: PolyMap, dom: ArityProfile, block: tuple[int, ...]) -> Po
     return precompose_blocks(forward_tower(f, len(block)), dom, placement)
 
 
+def _factors(part: SetPartition, mode: str) -> tuple[Factor, ...]:
+    """The derivatives a summand multiplies, read off its partition's blocks."""
+    sizes = part.block_sizes()
+    if mode == "forward":
+        head: list[Factor] = [("forward", "g", len(sizes))]
+    else:
+        head = [("reverse", "f", sizes[0]), ("reverse", "g", len(sizes))]
+        sizes = sizes[1:]
+    return tuple(head + [("forward", "f", size) for size in sizes])
+
+
 def _forward_summand(f: PolyMap, g: PolyMap, dom: ArityProfile, part: SetPartition) -> FdbSummand:
-    k = len(part.blocks)
     base = precompose_blocks(f, dom, {1: 1})
-    inner = []
-    factors: list[Factor] = [("forward", "g", k)]
-    for block in part.blocks:
-        inner.append(_forward_factor(f, dom, block))
-        factors.append(("forward", "f", len(block)))
-    result = compose(forward_tower(g, k), pair([base] + inner))
-    return FdbSummand(part, tuple(factors), result)
+    inner = [_forward_factor(f, dom, block) for block in part.blocks]
+    result = compose(forward_tower(g, len(part.blocks)), pair([base] + inner))
+    return FdbSummand(part, _factors(part, "forward"), result)
 
 
 def _reverse_summand(f: PolyMap, g: PolyMap, dom: ArityProfile, part: SetPartition) -> FdbSummand:
-    k = len(part.blocks)
     first, rest = part.blocks[0], part.blocks[1:]
     if first[0] != 1:
         raise AssertionError("canonical partitions keep 1 in the first block")
     base = precompose_blocks(f, dom, {1: 1})
     # inner forward factors of f for the blocks not containing 1;
     # vector argument a_s lives in domain block s+1 (block 2 is the covector)
-    vs = []
-    factors: list[Factor] = [("reverse", "f", len(first)), ("reverse", "g", k)]
-    for block in rest:
-        vs.append(_forward_factor(f, dom, block))
-        factors.append(("forward", "f", len(block)))
-    w = compose(reverse_tower(g, k), pair([base, select_blocks(dom, [2])] + vs))
-    outer_args = [select_blocks(dom, [1]), w] + [select_blocks(dom, [s + 1]) for s in first[1:]]
+    vs = [_forward_factor(f, dom, block) for block in rest]
+    w = compose(reverse_tower(g, len(part.blocks)), pair([base, projection(dom, 2)] + vs))
+    outer_args = [projection(dom, 1), w] + [projection(dom, s + 1) for s in first[1:]]
     result = compose(reverse_tower(f, len(first)), pair(outer_args))
-    return FdbSummand(part, tuple(factors), result)
+    return FdbSummand(part, _factors(part, "reverse"), result)
+
+
+def _representative(shape: tuple[int, ...]) -> SetPartition:
+    """The partition of the given block sizes with consecutive labels."""
+    blocks, start = [], 1
+    for size in shape:
+        blocks.append(tuple(range(start, start + size)))
+        start += size
+    return SetPartition(tuple(blocks))
+
+
+def _summands(f: PolyMap, g: PolyMap, dom: ArityProfile, n: int,
+              mode: str) -> tuple[FdbSummand, ...]:
+    """Every partition's summand, with one real substitution per shape.
+
+    A partition's blocks, put in its shape's order (by size, largest first,
+    then by minimum; in reverse mode the block of 1 stays first), list the
+    labels sigma(1), ..., sigma(n+1) that its shape representative's labels
+    1, ..., n+1 map to.  Its summand is the representative's with argument
+    block t+1 (label t) taken from domain block sigma(t)+1.
+    """
+    build = _forward_summand if mode == "forward" else _reverse_summand
+    fixed = 0 if mode == "forward" else 1
+    reps: dict[tuple[int, ...], FdbSummand] = {}
+    out = []
+    for part in enumerate_partitions(n + 1):
+        ordered = part.blocks[:fixed] + tuple(
+            sorted(part.blocks[fixed:], key=lambda block: (-len(block), block[0])))
+        shape = tuple(len(block) for block in ordered)
+        if shape not in reps:
+            reps[shape] = build(f, g, dom, _representative(shape))
+        rep = reps[shape]
+        if rep.partition == part:
+            out.append(rep)
+            continue
+        sigma = [label for block in ordered for label in block]
+        placement = {1: 1} | {t + 1: s + 1 for t, s in enumerate(sigma, start=1)}
+        result = precompose_blocks(rep.result, dom, placement)
+        out.append(FdbSummand(part, _factors(part, mode), result))
+    return tuple(out)
 
 
 def _first_difference(lhs: PolyMap, rhs: PolyMap) -> str | None:
@@ -147,11 +200,11 @@ def fdb_report(f: PolyMap, g: PolyMap, n: int, mode: str) -> FdbReport:
     composite = compose(g, f)
     if mode == "forward":
         dom = ArityProfile((a,) * (n + 2))
-        build, tower = _forward_summand, forward_tower
+        tower = forward_tower
     else:
         dom = ArityProfile((a, g.codomain_dim) + (a,) * n)
-        build, tower = _reverse_summand, reverse_tower
-    summands = tuple(build(f, g, dom, part) for part in enumerate_partitions(n + 1))
+        tower = reverse_tower
+    summands = _summands(f, g, dom, n, mode)
     oracle = tower(composite, n + 1)
     total = sum_maps(dom, oracle.codomain_dim, [s.result for s in summands])
     return FdbReport(

@@ -53,7 +53,6 @@ from .maps import (
     precompose_blocks,
     projection,
     reblock,
-    select_blocks,
     sum_maps,
     zero_map,
 )
@@ -160,7 +159,7 @@ def _chain_rhs(f: PolyMap, g: PolyMap, j: int) -> PolyMap:
     through g at the pushed-forward base point, then through f."""
     nb = f.domain.block_count
     dom = f.domain.concat(g.codomain_dim)
-    blocks = [select_blocks(dom, [t]) for t in range(1, nb + 2)]
+    blocks = [projection(dom, t) for t in range(1, nb + 2)]
     base = blocks[:j - 1] + [precompose_blocks(f, dom, _keep(nb))] + blocks[j:]
     inner = compose(partial_reverse(g, j), pair(base))
     return compose(partial_reverse(f, j), pair(blocks[:nb] + [inner]))
@@ -299,7 +298,7 @@ def law_ctx_rd3(rng: random.Random, cfg: CorpusConfig) -> LawFailure | None:
             r = partial_reverse(pj, i)
             dom = prof.concat(prof.block_dim(j))
             if i == j:
-                expected = select_blocks(dom, [nb + 1])
+                expected = projection(dom, nb + 1)
             else:
                 expected = zero_map(dom, prof.block_dim(i))
             bad = _cmp("ctx-rd3", [pj], r, expected)

@@ -177,15 +177,20 @@ class Polynomial:
         powers: dict[tuple[int, int], Polynomial] = {}
 
         def expanded():
-            # every term's expansion goes into the one accumulator
+            # every term's expansion goes into the one accumulator; the
+            # coefficient scales the product of powers, which a term with
+            # no variable leaves empty
             for m, c in self.terms:
-                term = Polynomial.constant(dim, c)
+                term = None
                 for i, e in enumerate(m):
                     if e:
                         if (i, e) not in powers:
                             powers[i, e] = args[i] ** e
-                        term = term * powers[i, e]
-                yield from term.terms
+                        term = powers[i, e] if term is None else term * powers[i, e]
+                if term is None:
+                    yield (0,) * dim, c
+                else:
+                    yield from ((mono, c * k) for mono, k in term.terms)
 
         return _accumulate(dim, expanded())
 

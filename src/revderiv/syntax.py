@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .maps import ArityProfile, PolyMap
-from .poly import Polynomial
+from .poly import Polynomial, _accumulate
 
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<var>x\d+)|(?P<num>\d+)|(?P<sym>[-+*/^(),]))"
@@ -165,11 +165,8 @@ class _Parser:
 
 
 def _build_polynomial(raw: list[_RawTerm], dim: int) -> Polynomial:
-    coeffs: dict[tuple[int, ...], Fraction] = {}
-    for coeff, exps in raw:
-        mono = tuple(exps.get(i, 0) for i in range(dim))
-        coeffs[mono] = coeffs.get(mono, Fraction(0)) + coeff
-    return Polynomial.from_dict(dim, coeffs)
+    return _accumulate(dim, ((tuple(exps.get(i, 0) for i in range(dim)), coeff)
+                             for coeff, exps in raw))
 
 
 def parse_polynomial(source: str, dim: int | None = None) -> Polynomial:

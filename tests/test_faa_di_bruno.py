@@ -1,12 +1,20 @@
 """Partition-sum chain rules against the iterated-derivative oracle."""
 
+import dataclasses
 import random
 
 import pytest
 
-from revderiv.corpus import CorpusConfig, random_composable_pair
-from revderiv.faa_di_bruno import _first_difference, fdb_report
+from revderiv import faa_di_bruno
+from revderiv.corpus import CorpusConfig, random_composable_pair, random_map
+from revderiv.faa_di_bruno import (
+    _first_difference,
+    _forward_summand,
+    _reverse_summand,
+    fdb_report,
+)
 from revderiv.maps import ArityProfile, PolyMap, compose, pair, select_blocks
+from revderiv.partitions import enumerate_partitions
 from revderiv.poly import Polynomial
 from revderiv.syntax import parse_map
 from revderiv.towers import forward_tower, reverse_tower
@@ -159,3 +167,91 @@ def test_first_difference_names_coordinate_and_monomial():
     assert _first_difference(lhs, rhs) == "shape mismatch: (2)->2 vs (2)->1"
     lhs, rhs = parse_map("(x1)", blocks=(1, 1)), parse_map("(x1)", blocks=(2,))
     assert _first_difference(lhs, rhs) == "shape mismatch: (1,1)->1 vs (2)->1"
+
+
+# -- every summand against its own direct construction --------------------------
+
+
+def corpus_pairs():
+    """Composable corpus pairs whose inner map has a 2-dimensional domain: on a
+    1-dimensional one, all summands of one shape are the same polynomial."""
+    rng = random.Random(33)
+    cfg = CorpusConfig()
+    pairs = []
+    for _ in range(4):
+        b, c = rng.randint(1, 2), rng.randint(1, 2)
+        f = random_map(rng, ArityProfile((2,)), b, 3, cfg.max_terms)
+        pairs.append((f, random_map(rng, ArityProfile((b,)), c, 3, cfg.max_terms)))
+    return pairs
+
+
+def direct_summands(f, g, n, mode):
+    """Each partition's summand built by its own substitution, with no sharing."""
+    a = f.domain.total
+    if mode == "forward":
+        dom, build = ArityProfile((a,) * (n + 2)), _forward_summand
+    else:
+        dom, build = ArityProfile((a, g.codomain_dim) + (a,) * n), _reverse_summand
+    return [build(f, g, dom, part) for part in enumerate_partitions(n + 1)]
+
+
+def summand_mismatches(mode):
+    """Summands of fdb_report, for corpus pairs and n <= 3, that differ from the
+    direct construction in partition, factors or map."""
+    bad = 0
+    for f, g in corpus_pairs():
+        for n in range(4):
+            got = fdb_report(f, g, n, mode).summands
+            want = direct_summands(f, g, n, mode)
+            assert len(got) == len(want)
+            bad += sum(s != t for s, t in zip(got, want))
+    return bad
+
+
+MODES = pytest.mark.parametrize("mode", ["forward", "reverse"])
+
+
+@MODES
+def test_every_summand_matches_its_direct_construction(mode):
+    assert summand_mismatches(mode) == 0
+
+
+@MODES
+def test_summand_oracle_catches_a_same_shape_swap(mode, monkeypatch):
+    shared = faa_di_bruno._summands
+
+    def swapped(f, g, dom, n, mode):
+        # hand each summand's map to the next partition of the same shape
+        out = list(shared(f, g, dom, n, mode))
+        groups = {}
+        for i, s in enumerate(out):
+            sizes = s.partition.block_sizes()
+            rest = tuple(sorted(sizes[1:]))
+            shape = tuple(sorted(sizes)) if mode == "forward" else (sizes[0], rest)
+            groups.setdefault(shape, []).append(i)
+        for idx in groups.values():
+            maps = [out[i].result for i in idx]
+            for i, m in zip(idx, maps[1:] + maps[:1]):
+                out[i] = dataclasses.replace(out[i], result=m)
+        return tuple(out)
+
+    monkeypatch.setattr(faa_di_bruno, "_summands", swapped)
+    # the totals cannot see the swap
+    for f, g in corpus_pairs():
+        assert fdb_report(f, g, 3, mode).equal
+    assert summand_mismatches(mode) > 0
+
+
+@MODES
+def test_summand_oracle_catches_the_inverse_placement(mode, monkeypatch):
+    route = faa_di_bruno.precompose_blocks
+
+    def inverted(f, src, placement):
+        # invert every placement that permutes all of the domain's blocks
+        blocks = list(range(1, src.block_count + 1))
+        if f.domain == src and sorted(placement) == sorted(placement.values()) == blocks:
+            placement = {s: t for t, s in placement.items()}
+        return route(f, src, placement)
+
+    monkeypatch.setattr(faa_di_bruno, "precompose_blocks", inverted)
+    assert summand_mismatches(mode) > 0

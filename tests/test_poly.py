@@ -77,11 +77,11 @@ def P(dim, coeffs):
 
 
 @st.composite
-def polynomials(draw, dim=None, max_dim=3, max_degree=3):
+def polynomials(draw, dim=None, max_dim=3, max_degree=3, max_terms=4):
     if dim is None:
         dim = draw(st.integers(1, max_dim))
     coeffs = {}
-    for _ in range(draw(st.integers(0, 4))):
+    for _ in range(draw(st.integers(0, max_terms))):
         mono = tuple(draw(st.integers(0, max_degree)) for _ in range(dim))
         c = Fraction(draw(st.integers(-6, 6)), draw(st.integers(1, 4)))
         coeffs[mono] = coeffs.get(mono, Fraction(0)) + c
@@ -90,10 +90,15 @@ def polynomials(draw, dim=None, max_dim=3, max_degree=3):
 
 @st.composite
 def substitutions(draw):
-    """A polynomial and one argument per coordinate, all in one target space."""
+    """A polynomial and one argument per coordinate, all in one target space;
+    the polynomial may have a constant term, and the arguments may all have at
+    most one term (zero included)."""
     p = draw(polynomials(max_degree=2))
+    p = p + Polynomial.constant(p.dim, draw(st.integers(-2, 2)))
     dim = draw(st.integers(1, 3))
-    return p, [draw(polynomials(dim=dim, max_degree=2)) for _ in range(p.dim)]
+    max_terms = draw(st.sampled_from((1, 4)))
+    return p, [draw(polynomials(dim=dim, max_degree=2, max_terms=max_terms))
+               for _ in range(p.dim)]
 
 
 @st.composite
@@ -177,6 +182,14 @@ def test_substitute():
     sq = P(1, {(2,): 1})
     shift = P(1, {(1,): 1, (0,): 1})
     assert sq.substitute([shift]) == P(1, {(2,): 1, (1,): 2, (0,): 1})
+    # a term with no variable keeps its coefficient; a zero argument kills
+    # every term that uses it
+    p = P(2, {(1, 1): 2, (0, 1): 1, (0, 0): Fraction(-3, 2)})
+    zero, x = Polynomial.zero(1), P(1, {(1,): 1})
+    assert p.substitute([zero, zero]) == Polynomial.constant(1, Fraction(-3, 2))
+    assert p.substitute([zero, x]) == P(1, {(1,): 1, (0,): Fraction(-3, 2)})
+    assert Polynomial.constant(2, 4).substitute([x, x]) == Polynomial.constant(1, 4)
+    assert Polynomial.zero(2).substitute([x, x]) == Polynomial.zero(1)
 
 
 def test_dim_mismatch_raises():
@@ -248,6 +261,14 @@ def test_no_zero_coefficients_stored(ps):
 def test_mul_against_expand_oracle(p):
     q = p + Polynomial.constant(p.dim, 1)
     assert (p * q).as_dict() == expand_product(p, q)
+
+
+@given(polynomials(), st.data())
+def test_mul_by_one_term_or_zero_against_expand_oracle(p, data):
+    q = data.draw(polynomials(dim=p.dim, max_terms=1))
+    assert (p * q).as_dict() == expand_product(p, q)
+    assert (q * p).as_dict() == expand_product(q, p)
+    assert (q * q).as_dict() == expand_product(q, q)
 
 
 @given(polynomials())
