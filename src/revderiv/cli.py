@@ -28,7 +28,7 @@ from .combinators import partial_forward, partial_reverse
 from .faa_di_bruno import fdb_report
 from .laws import SUITE_NAMES, LawReport, run_suite
 from .partitions import enumerate_partitions
-from .syntax import ParseError, parse_map
+from .syntax import MAX_COORDINATES, ParseError, parse_map
 from .towers import forward_tower, reverse_tower
 
 DEFAULT_FDB_CAP = 4
@@ -42,7 +42,7 @@ def _fail_usage(message: str) -> int:
 
 
 def _check_cap(name: str, value: int, cap: int, remedy: str) -> int | None:
-    """Exit 2 when an input whose cost grows super-exponentially is over its cap."""
+    """Exit 2 when an input whose cost grows out of proportion to it is over its cap."""
     if value > cap:
         return _fail_usage(f"{name} {value} exceeds the cap {cap}; {remedy}")
     return None
@@ -52,6 +52,20 @@ def _fail_parse(err: ParseError) -> int:
     print(f"error: {err.message}", file=sys.stderr)
     print(err.caret_text(), file=sys.stderr)
     return 2
+
+
+@contextlib.contextmanager
+def _any_int_length():
+    """Lift the interpreter's limit on int/str conversions (Python >= 3.10.7)
+    for a while: exact coefficients such as 2000! have more digits than it allows."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 def _read_expr(text: str) -> str:
@@ -73,6 +87,11 @@ def _parse_blocks(text: str | None) -> tuple[int, ...] | None:
 
 
 def cmd_derive(args: argparse.Namespace) -> int:
+    # every monomial of the map gets one exponent per declared coordinate
+    code = _check_cap("--blocks total", sum(args.blocks or ()), MAX_COORDINATES,
+                      "a map has at most that many coordinates")
+    if code is not None:
+        return code
     try:
         f = parse_map(_read_expr(args.map), args.blocks)
     except ParseError as err:
@@ -303,7 +322,7 @@ def main(argv: list[str] | None = None) -> int:
     # the verdict is settled before anything reaches stdout, so a reader that
     # closes the pipe early cannot change the exit status
     out = io.StringIO()
-    with contextlib.redirect_stdout(out):
+    with _any_int_length(), contextlib.redirect_stdout(out):
         code = args.func(args)
     try:
         sys.stdout.write(out.getvalue())

@@ -133,15 +133,15 @@ class Polynomial:
     def __pow__(self, exponent: int) -> "Polynomial":
         if exponent < 0:
             raise ValueError("negative power of a polynomial")
-        result = Polynomial.constant(self.dim, 1)
-        base = self
-        e = exponent
+        # the first factor is the result itself, not a product with 1
+        result, base, e = None, self, exponent
         while e:
             if e & 1:
-                result = result * base
-            base = base * base if e > 1 else base
+                result = base if result is None else result * base
             e >>= 1
-        return result
+            if e:
+                base = base * base
+        return Polynomial.constant(self.dim, 1) if result is None else result
 
     # -- differentiation ------------------------------------------------
 
@@ -238,21 +238,15 @@ class Polynomial:
         if not self.terms:
             return "0"
         pieces: list[str] = []
-        for k, (mono, coeff) in enumerate(self.terms):
-            factors = "*".join(
-                f"x{i + 1}" if e == 1 else f"x{i + 1}^{e}"
-                for i, e in enumerate(mono)
-                if e > 0
-            )
-            mag = abs(coeff)
-            if not factors:
-                body = str(mag)
-            elif mag == 1:
-                body = factors
-            else:
-                body = f"{mag}*{factors}"
-            if k == 0:
-                pieces.append(body if coeff > 0 else f"-{body}")
-            else:
-                pieces.append(f" + {body}" if coeff > 0 else f" - {body}")
-        return "".join(pieces)
+        for mono, coeff in self.terms:
+            # int coefficients (from_dict stores what it is given) have these too
+            num, den = coeff.numerator, coeff.denominator
+            body = str(abs(num)) if den == 1 else f"{abs(num)}/{den}"
+            factors = "*".join([f"x{i}" if e == 1 else f"x{i}^{e}"
+                                for i, e in enumerate(mono, 1) if e])
+            if factors:
+                body = factors if body == "1" else f"{body}*{factors}"
+            pieces.append(f" - {body}" if num < 0 else f" + {body}")
+        # the leading term drops its separator and keeps only a minus sign
+        text = "".join(pieces)
+        return text[3:] if text[1] == "+" else f"-{text[3:]}"

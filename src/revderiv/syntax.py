@@ -7,23 +7,26 @@ A map is a parenthesized comma-separated tuple of polynomials over variables
 
 Printing (``str`` on Polynomial/PolyMap) emits exactly this grammar with
 terms in descending graded-lexicographic order, so parse-print-parse is the
-identity on canonical forms.  Parse errors carry the offending position for
-caret-style reporting.
+identity on canonical forms.
+
+One regex scan tokenizes the source before any grammar rule runs; each term's
+monomial is written once, and variables past ``MAX_COORDINATES`` are rejected.
+Parse errors carry the offending position for caret-style reporting.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from .maps import ArityProfile, PolyMap
 from .poly import Polynomial, _accumulate
 
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<var>x\d+)|(?P<num>\d+)|(?P<sym>[-+*/^(),]))"
-)
+MAX_COORDINATES = 1000
+
+_TOKEN_RE = re.compile(r"\s*(?:(?P<var>x\d+)|(?P<num>\d+)|(?P<sym>[-+*/^(),])|(?P<bad>\S))")
+_ONE = Fraction(1)
 
 
 class ParseError(ValueError):
@@ -37,152 +40,118 @@ class ParseError(ValueError):
         return f"{self.source}\n{' ' * self.position}^"
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # "var" | "num" | one of -+*/^(),  | "end"
-    text: str
-    pos: int
-
-
-def _tokenize(source: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    pos = 0
-    while pos < len(source):
-        m = _TOKEN_RE.match(source, pos)
-        if m is None:
-            stripped = source[pos:].lstrip()
-            if not stripped:
-                break
-            bad = len(source) - len(stripped)
-            raise ParseError(f"unexpected character {source[bad]!r}", source, bad)
-        if m.lastgroup == "sym":
-            tokens.append(_Token(m.group("sym"), m.group("sym"), m.start("sym")))
-        elif m.lastgroup == "num":
-            tokens.append(_Token("num", m.group("num"), m.start("num")))
-        else:
-            tokens.append(_Token("var", m.group("var"), m.start("var")))
-        pos = m.end()
-    tokens.append(_Token("end", "", len(source)))
-    return tokens
-
-
-# raw term: (coefficient, {0-based variable index: exponent})
-_RawTerm = tuple[Fraction, dict[int, int]]
+# raw term: (coefficient, [(0-based variable index, exponent), ...])
+_RawTerm = tuple[Fraction, list[tuple[int, int]]]
 
 
 class _Parser:
     def __init__(self, source: str):
         self.source = source
-        self.tokens = _tokenize(source)
+        # (kind, text, position); kind is "var", "num", "end" or the symbol
+        self.tokens: list[tuple[str, str, int]] = []
+        for m in _TOKEN_RE.finditer(source):
+            kind = m.lastgroup
+            text, pos = m[kind], m.start(kind)
+            if kind == "bad":
+                raise ParseError(f"unexpected character {text!r}", source, pos)
+            self.tokens.append((text if kind == "sym" else kind, text, pos))
+        self.tokens.append(("end", "", len(source)))
         self.i = 0
-        self.max_var = 0  # highest 1-based variable index seen
-        self.max_var_pos = 0
+        self.max_var, self.max_var_pos = 0, 0  # highest 1-based variable index seen, and where
 
-    def peek(self) -> _Token:
-        return self.tokens[self.i]
+    def at(self, *kinds: str) -> bool:
+        return self.tokens[self.i][0] in kinds
 
-    def take(self) -> _Token:
+    def take(self, kind: str | None = None) -> tuple[str, str, int]:
         tok = self.tokens[self.i]
+        if kind is not None and tok[0] != kind:
+            raise ParseError(f"expected {kind!r}", self.source, tok[2])
         self.i += 1
         return tok
 
-    def expect(self, kind: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            raise ParseError(f"expected {kind!r}", self.source, tok.pos)
-        return self.take()
-
-    def fail(self, message: str) -> ParseError:
-        return ParseError(message, self.source, self.peek().pos)
-
     # map := '(' [ poly (',' poly)* ] ')'
-    def parse_map(self) -> list[list[_RawTerm]]:
-        self.expect("(")
-        polys: list[list[_RawTerm]] = []
-        if self.peek().kind != ")":
-            polys.append(self.parse_poly())
-            while self.peek().kind == ",":
-                self.take()
-                polys.append(self.parse_poly())
-        self.expect(")")
-        self.expect("end")
+    def map(self) -> list[list[_RawTerm]]:
+        self.take("(")
+        polys = [] if self.at(")") else [self.poly()]
+        while self.at(","):
+            self.take()
+            polys.append(self.poly())
+        self.take(")")
+        self.take("end")
         return polys
 
     # poly := ['-'] term (('+' | '-') term)*
-    def parse_poly(self) -> list[_RawTerm]:
-        sign = Fraction(1)
-        if self.peek().kind == "-":
-            self.take()
-            sign = Fraction(-1)
-        terms = [self.parse_term(sign)]
-        while self.peek().kind in ("+", "-"):
-            op = self.take()
-            terms.append(self.parse_term(Fraction(1) if op.kind == "+" else Fraction(-1)))
+    def poly(self) -> list[_RawTerm]:
+        terms = [self.term(signed=self.at("-"))]
+        while self.at("+", "-"):
+            terms.append(self.term(signed=True))
         return terms
 
-    # term := coeff ('*' factor)* | factor ('*' factor)*
-    def parse_term(self, sign: Fraction) -> _RawTerm:
-        tok = self.peek()
-        exps: dict[int, int] = {}
-        if tok.kind == "num":
-            coeff = sign * self.parse_coeff()
-        elif tok.kind == "var":
-            coeff = sign
-            self.parse_factor(exps)
+    # term := coeff ('*' factor)* | factor ('*' factor)*, after its sign if signed
+    def term(self, signed: bool) -> _RawTerm:
+        negative = signed and self.take()[0] == "-"
+        if self.at("num"):
+            coeff, factors = self.coeff(), []
+        elif self.at("var"):
+            coeff, factors = _ONE, [self.factor()]
         else:
-            raise self.fail("expected a coefficient or a variable")
-        while self.peek().kind == "*":
+            raise ParseError("expected a coefficient or a variable", self.source,
+                             self.tokens[self.i][2])
+        while self.at("*"):
             self.take()
-            self.parse_factor(exps)
-        return coeff, exps
+            factors.append(self.factor())
+        return (-coeff if negative else coeff), factors
 
     # coeff := nat ('/' posnat)?
-    def parse_coeff(self) -> Fraction:
-        num = int(self.expect("num").text)
-        if self.peek().kind == "/":
-            self.take()
-            den_tok = self.expect("num")
-            den = int(den_tok.text)
-            if den == 0:
-                raise ParseError("zero denominator", self.source, den_tok.pos)
-            return Fraction(num, den)
-        return Fraction(num)
+    def coeff(self) -> Fraction:
+        num = int(self.take("num")[1])
+        if not self.at("/"):
+            return Fraction(num)
+        self.take()
+        _, text, pos = self.take("num")
+        den = int(text)
+        if den == 0:
+            raise ParseError("zero denominator", self.source, pos)
+        return Fraction(num, den)
 
     # factor := var ('^' nat)?
-    def parse_factor(self, exps: dict[int, int]) -> None:
-        tok = self.expect("var")
-        index = int(tok.text[1:])
+    def factor(self) -> tuple[int, int]:
+        _, text, pos = self.take("var")
+        index = int(text[1:])
         if index == 0:
-            raise ParseError("variables are numbered from x1", self.source, tok.pos)
+            raise ParseError("variables are numbered from x1", self.source, pos)
+        if index > MAX_COORDINATES:
+            raise ParseError(f"x{index} exceeds the cap of {MAX_COORDINATES} coordinates",
+                             self.source, pos)
         if index > self.max_var:
-            self.max_var = index
-            self.max_var_pos = tok.pos
-        power = 1
-        if self.peek().kind == "^":
-            self.take()
-            power = int(self.expect("num").text)
-        exps[index - 1] = exps.get(index - 1, 0) + power
+            self.max_var, self.max_var_pos = index, pos
+        if not self.at("^"):
+            return index - 1, 1
+        self.take()
+        return index - 1, int(self.take("num")[1])
 
+    def build(self, raws: list[list[_RawTerm]], dim: int, declared: str) -> tuple[Polynomial, ...]:
+        """The parsed polynomials in ``dim`` coordinates; ``declared`` states ``dim`` in errors."""
+        if self.max_var > dim:
+            raise ParseError(f"uses x{self.max_var} but {declared}", self.source, self.max_var_pos)
 
-def _build_polynomial(raw: list[_RawTerm], dim: int) -> Polynomial:
-    return _accumulate(dim, ((tuple(exps.get(i, 0) for i in range(dim)), coeff)
-                             for coeff, exps in raw))
+        def monomials(raw: list[_RawTerm]):
+            for coeff, factors in raw:
+                mono = [0] * dim
+                for i, e in factors:
+                    mono[i] += e
+                yield tuple(mono), coeff
+
+        return tuple(_accumulate(dim, monomials(raw)) for raw in raws)
 
 
 def parse_polynomial(source: str, dim: int | None = None) -> Polynomial:
     """Parse one polynomial; the coordinate count is declared or inferred."""
     parser = _Parser(source)
-    raw = parser.parse_poly()
-    parser.expect("end")
-    if dim is None:
-        dim = parser.max_var
-    elif parser.max_var > dim:
-        raise ParseError(
-            f"uses x{parser.max_var} but only {dim} coordinates are declared",
-            source,
-            parser.max_var_pos,
-        )
-    return _build_polynomial(raw, dim)
+    raw = parser.poly()
+    parser.take("end")
+    dim = parser.max_var if dim is None else dim
+    return parser.build([raw], dim, f"only {dim} coordinates are declared")[0]
 
 
 def parse_map(source: str, blocks: Sequence[int] | None = None) -> PolyMap:
@@ -192,17 +161,7 @@ def parse_map(source: str, blocks: Sequence[int] | None = None) -> PolyMap:
     single block whose dimension is the highest variable index used.
     """
     parser = _Parser(source)
-    raw_polys = parser.parse_map()
-    if blocks is not None:
-        profile = ArityProfile(tuple(blocks))
-        if parser.max_var > profile.total:
-            raise ParseError(
-                f"uses x{parser.max_var} but declared blocks cover "
-                f"{profile.total} coordinates",
-                source,
-                parser.max_var_pos,
-            )
-    else:
-        profile = ArityProfile((parser.max_var,))
+    raws = parser.map()
+    profile = ArityProfile((parser.max_var,) if blocks is None else tuple(blocks))
     dim = profile.total
-    return PolyMap(profile, tuple(_build_polynomial(raw, dim) for raw in raw_polys))
+    return PolyMap(profile, parser.build(raws, dim, f"declared blocks cover {dim} coordinates"))

@@ -5,6 +5,7 @@ import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -80,6 +81,34 @@ def test_derive_parse_error_exits_2_with_caret(capsys):
     assert lines[-1].index("^") == 4
 
 
+def test_derive_past_the_coordinate_cap_exits_2(capsys, monkeypatch):
+    # a variable past the cap is a parse error at that variable
+    code, out, err = run_cli(capsys, "derive", "--map", "(x1 + x999999999)")
+    assert code == 2 and out == ""
+    assert "x999999999 exceeds the cap of 1000 coordinates" in err
+    assert err.splitlines()[-1].index("^") == 6
+
+    # declared blocks past the cap are refused before anything is parsed
+    def no_parse(source, blocks=None):
+        raise AssertionError("a map was parsed past the cap")
+
+    monkeypatch.setattr(cli, "parse_map", no_parse)
+    for blocks in ("1000000000", "500,501"):
+        code, out, err = run_cli(capsys, "derive", "--map", "(x1)", "--blocks", blocks)
+        assert code == 2 and out == ""
+        assert f"--blocks total {sum(map(int, blocks.split(',')))} exceeds the cap 1000" in err
+
+
+def test_derive_echoes_integers_of_any_length(capsys):
+    # past the interpreter's default 4,300-digit limit on int/str conversions,
+    # which the CLI lifts only while it runs
+    text = "(" + "7" * 5000 + ")"
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    code, out, err = run_cli(capsys, "derive", "--map", text, "--order", "0")
+    assert (code, out, err) == (0, text + "\n", "")
+    assert getattr(sys, "get_int_max_str_digits", lambda: 0)() == limit
+
+
 def test_derive_multi_block_total_rejected(capsys):
     code, _, err = run_cli(capsys, "derive", "--map", "(x1*x2)", "--blocks", "1,1")
     assert code == 2
@@ -117,12 +146,16 @@ def test_derive_order_over_the_cap_builds_no_tower(capsys, monkeypatch, mode):
 @pytest.mark.parametrize("mode", ["reverse", "forward"])
 def test_derive_deep_tower_below_the_degree(capsys, mode):
     # a tower order deeper than the interpreter's recursion limit allows
-    # when each order recurses into the one below it
-    code, out, err = run_cli(capsys, "derive", "--map", "(x1^600)", "--order", "600",
-                             "--mode", mode)
-    assert code == 0 and err == ""
-    (poly,) = parse_map(out.strip()).coords
-    assert [c for _, c in poly.terms] == [math.factorial(600)]
+    # when each order recurses into the one below it; at the order cap the
+    # coefficient 2000! has 5,736 digits and the map more coordinates than
+    # the parser reads back, so the one term is read off the text
+    for order in (600, 2000):
+        code, out, err = run_cli(capsys, "derive", "--map", f"(x1^{order})",
+                                 "--order", str(order), "--mode", mode)
+        assert code == 0 and err == ""
+        term = re.fullmatch(r"\((\d+)(\*x\d+)+\)\n", out)
+        with cli._any_int_length():
+            assert term and int(term[1]) == math.factorial(order)
 
 
 @pytest.mark.parametrize("mode", ["reverse", "forward"])

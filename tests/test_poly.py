@@ -172,7 +172,13 @@ def test_pow():
     p = P(1, {(1,): 1, (0,): 1})
     assert p ** 0 == Polynomial.constant(1, 1)
     assert p ** 1 == p
+    assert p ** 2 == p * p
     assert p ** 3 == p * p * p
+    # the first factor is the base itself, not a product with the constant 1
+    assert p ** 1 is p
+    zero = Polynomial.zero(1)
+    assert zero ** 0 == Polynomial.constant(1, 1)
+    assert zero ** 1 == zero ** 2 == zero
     with pytest.raises(ValueError):
         p ** -1
 

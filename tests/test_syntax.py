@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from revderiv.corpus import CorpusConfig, random_map, random_profile
 from revderiv.maps import ArityProfile, PolyMap
 from revderiv.poly import Polynomial
-from revderiv.syntax import ParseError, parse_map, parse_polynomial
+from revderiv.syntax import MAX_COORDINATES, ParseError, parse_map, parse_polynomial
 
 
 def test_parse_simple_map():
@@ -66,6 +66,58 @@ def test_parse_errors_carry_positions():
         parse_map("(x1 + )")
     with pytest.raises(ParseError):
         parse_map("(x1 ? 2)")
+
+
+@pytest.mark.parametrize("parse, args, message, position", [
+    (parse_map, ("x1",), "expected '('", 0),
+    (parse_map, ("(x1 x2)",), "expected ')'", 4),
+    (parse_map, ("(x1))",), "expected 'end'", 4),
+    (parse_polynomial, ("x1 x2",), "expected 'end'", 3),
+    (parse_map, ("(2*3)",), "expected 'var'", 3),
+    (parse_map, ("(x1^)",), "expected 'num'", 4),
+    (parse_map, ("(1/x1)",), "expected 'num'", 3),
+    (parse_map, ("(x1 + )",), "expected a coefficient or a variable", 6),
+    (parse_map, ("(,x1)",), "expected a coefficient or a variable", 1),
+    (parse_map, ("(1/0)",), "zero denominator", 3),
+    (parse_map, ("(x0)",), "variables are numbered from x1", 1),
+    (parse_map, ("(x1*x3, x2)", (1, 1)), "uses x3 but declared blocks cover 2 coordinates", 4),
+    (parse_polynomial, ("x1 + x2", 1), "uses x2 but only 1 coordinates are declared", 5),
+    # the whole source is tokenized before any grammar rule runs
+    (parse_map, ("(x1 +, $)",), "unexpected character '$'", 7),
+    (parse_map, ("(x1\u00a0?)",), "unexpected character '?'", 4),
+])
+def test_parse_error_messages_and_positions(parse, args, message, position):
+    with pytest.raises(ParseError) as err:
+        parse(*args)
+    assert (err.value.message, err.value.position) == (message, position)
+    assert err.value.caret_text() == f"{args[0]}\n{' ' * position}^"
+
+
+def test_variables_past_the_coordinate_cap_are_rejected():
+    assert parse_map(f"(x{MAX_COORDINATES})").domain.total == MAX_COORDINATES
+    with pytest.raises(ParseError) as err:
+        parse_map(f"(x1 + x{MAX_COORDINATES + 1}*x2)")
+    cap = MAX_COORDINATES
+    assert (err.value.message, err.value.position) == (
+        f"x{cap + 1} exceeds the cap of {cap} coordinates", 6)
+
+
+@pytest.mark.parametrize("dim, coeffs, text", [
+    (2, {(1, 0): Fraction(-1, 2), (0, 1): Fraction(1)}, "-1/2*x1 + x2"),
+    (1, {(1,): Fraction(1), (0,): Fraction(-3)}, "x1 - 3"),
+    (1, {(2,): Fraction(-1), (0,): Fraction(1, 2)}, "-x1^2 + 1/2"),
+    (2, {(1, 1): Fraction(2, 3), (0, 1): Fraction(-1)}, "2/3*x1*x2 - x2"),
+    (1, {(0,): Fraction(-1)}, "-1"),
+    (1, {(0,): -1}, "-1"),  # from_dict keeps int coefficients as given
+    (1, {(1,): -3, (0,): 1}, "-3*x1 + 1"),
+    (10, {(0,) * 9 + (1,): Fraction(1)}, "x10"),
+    (1, {(12,): Fraction(1)}, "x1^12"),
+    (1, {}, "0"),
+])
+def test_printed_text(dim, coeffs, text):
+    p = Polynomial.from_dict(dim, coeffs)
+    assert str(p) == text
+    assert parse_polynomial(text, dim=dim) == p
 
 
 def test_declared_blocks_must_cover_variables():
