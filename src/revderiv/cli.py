@@ -36,22 +36,15 @@ DEFAULT_ORDER_CAP = 2000
 DEFAULT_PARTITIONS_CAP = 10  # Bell(10) = 115,975 partitions
 
 
-def _fail_usage(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return 2
+class _Refused(Exception):
+    """A command refuses its input: ``main`` prints ``error: <message>`` and any
+    further lines to stderr, and exits 2."""
 
 
-def _check_cap(name: str, value: int, cap: int, remedy: str) -> int | None:
-    """Exit 2 when an input whose cost grows out of proportion to it is over its cap."""
+def _check_cap(name: str, value: int, cap: int, remedy: str) -> None:
+    """Refuse an input whose cost grows out of proportion to it when it is over its cap."""
     if value > cap:
-        return _fail_usage(f"{name} {value} exceeds the cap {cap}; {remedy}")
-    return None
-
-
-def _fail_parse(err: ParseError) -> int:
-    print(f"error: {err.message}", file=sys.stderr)
-    print(err.caret_text(), file=sys.stderr)
-    return 2
+        raise _Refused(f"{name} {value} exceeds the cap {cap}; {remedy}")
 
 
 @contextlib.contextmanager
@@ -88,40 +81,33 @@ def _parse_blocks(text: str | None) -> tuple[int, ...] | None:
 
 def cmd_derive(args: argparse.Namespace) -> int:
     # every monomial of the map gets one exponent per declared coordinate
-    code = _check_cap("--blocks total", sum(args.blocks or ()), MAX_COORDINATES,
-                      "a map has at most that many coordinates")
-    if code is not None:
-        return code
-    try:
-        f = parse_map(_read_expr(args.map), args.blocks)
-    except ParseError as err:
-        return _fail_parse(err)
+    _check_cap("--blocks total", sum(args.blocks or ()), MAX_COORDINATES,
+               "a map has at most that many coordinates")
+    f = parse_map(_read_expr(args.map), args.blocks)
     if args.order < 0:
-        return _fail_usage("--order must be nonnegative")
+        raise _Refused("--order must be nonnegative")
     # each order above the first is one more pass of the kernel
-    code = _check_cap("--order", args.order, DEFAULT_ORDER_CAP, "derive builds no higher tower")
-    if code is not None:
-        return code
+    _check_cap("--order", args.order, DEFAULT_ORDER_CAP, "derive builds no higher tower")
     try:
         if args.order == 0:
             result = f
         elif args.partial is not None:
             if args.order != 1:
-                return _fail_usage("--partial applies to first derivatives (--order 1)")
+                raise _Refused("--partial applies to first derivatives (--order 1)")
             if args.mode == "reverse":
                 result = partial_reverse(f, args.partial)
             else:
                 result = partial_forward(f, args.partial)
         else:
             if f.domain.block_count != 1:
-                return _fail_usage(
+                raise _Refused(
                     "total derivatives need a single-block domain; "
                     "use --partial J or declare one block"
                 )
             tower = reverse_tower if args.mode == "reverse" else forward_tower
             result = tower(f, args.order)
     except (ValueError, IndexError) as err:
-        return _fail_usage(str(err))
+        raise _Refused(str(err)) from err
     if args.json:
         print(json.dumps({
             "map": str(result),
@@ -153,21 +139,19 @@ def _print_report(report: LawReport) -> None:
 def cmd_verify(args: argparse.Namespace) -> int:
     for name in ("cases", "max_dim", "max_deg", "max_order"):
         if getattr(args, name) < 1:
-            return _fail_usage(f"--{name.replace('_', '-')} must be positive")
+            raise _Refused(f"--{name.replace('_', '-')} must be positive")
     names = list(SUITE_NAMES) if args.suite == "all" else [args.suite]
     if {"fdb-forward", "fdb-reverse"} & set(names):
         # the fdb laws check Bell(max_order + 1) summands per case
-        code = _check_cap("--max-order", args.max_order, DEFAULT_FDB_CAP,
-                         "the fdb suites go no higher; pick another --suite")
-        if code is not None:
-            return code
+        _check_cap("--max-order", args.max_order, DEFAULT_FDB_CAP,
+                   "the fdb suites go no higher; pick another --suite")
     seed = args.seed
     if seed is None:
         text = os.environ.get("RFDB_SEED", "42")
         try:
             seed = int(text)
         except ValueError:
-            return _fail_usage(f"RFDB_SEED must be an integer, got {text!r}")
+            raise _Refused(f"RFDB_SEED must be an integer, got {text!r}") from None
     cfg = CorpusConfig(
         max_dim=args.max_dim, max_degree=args.max_deg, max_order=args.max_order
     )
@@ -183,10 +167,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_partitions(args: argparse.Namespace) -> int:
     if args.n < 1:
-        return _fail_usage("n must be at least 1")
-    code = _check_cap("n", args.n, args.max_n, "raise --max-n if you mean it")
-    if code is not None:
-        return code
+        raise _Refused("n must be at least 1")
+    _check_cap("n", args.n, args.max_n, "raise --max-n if you mean it")
     parts = enumerate_partitions(args.n)
     if args.json:
         print(json.dumps({
@@ -203,25 +185,18 @@ def cmd_partitions(args: argparse.Namespace) -> int:
 
 def cmd_fdb(args: argparse.Namespace) -> int:
     if args.n < 0:
-        return _fail_usage("--n must be nonnegative")
-    code = _check_cap("--n", args.n, args.max_n, "raise --max-n if you mean it")
-    if code is not None:
-        return code
-    try:
-        f = parse_map(_read_expr(args.f))
-    except ParseError as err:
-        return _fail_parse(err)
+        raise _Refused("--n must be nonnegative")
+    _check_cap("--n", args.n, args.max_n, "raise --max-n if you mean it")
+    f = parse_map(_read_expr(args.f))
     try:
         g = parse_map(_read_expr(args.g), (f.codomain_dim,))
     except ParseError as err:
-        code = _fail_parse(err)
-        print(f"(--g is read on the {f.codomain_dim} outputs of --f, so that the two compose)",
-              file=sys.stderr)
-        return code
+        raise _Refused(err.message, err.caret_text(), f"(--g is read on the {f.codomain_dim} "
+                       "outputs of --f, so that the two compose)") from err
     try:
         report = fdb_report(f, g, args.n, args.mode)
     except ValueError as err:
-        return _fail_usage(str(err))
+        raise _Refused(str(err)) from err
     if args.json:
         print(json.dumps(report.to_json(), indent=2))
     else:
@@ -322,8 +297,13 @@ def main(argv: list[str] | None = None) -> int:
     # the verdict is settled before anything reaches stdout, so a reader that
     # closes the pipe early cannot change the exit status
     out = io.StringIO()
-    with _any_int_length(), contextlib.redirect_stdout(out):
-        code = args.func(args)
+    try:
+        with _any_int_length(), contextlib.redirect_stdout(out):
+            code = args.func(args)
+    except (_Refused, ParseError) as err:
+        message, *lines = err.args if isinstance(err, _Refused) else (err.message, err.caret_text())
+        print(f"error: {message}", *lines, sep="\n", file=sys.stderr)
+        return 2
     try:
         sys.stdout.write(out.getvalue())
         sys.stdout.flush()

@@ -42,12 +42,14 @@ def _partial(f: PolyMap, j: int, reverse: bool) -> PolyMap:
     mode y is the vector coordinate matching i and the term belongs to output
     k.  The fresh y block is appended to the domain.  No two emitted terms of
     one output share a monomial (y's index and the lowered monomial recover
-    the source term), so each output only needs sorting.
+    the source term), so each output only needs sorting.  The one-hot
+    exponents of y are built on first use, so a wide map with few terms
+    costs little.
     """
     rng = f.domain.block_range(j)
     width = f.codomain_dim if reverse else len(rng)
     domain = f.domain.concat(width)
-    units = [(0,) * t + (1,) + (0,) * (width - t - 1) for t in range(width)]
+    units: dict[int, tuple[int, ...]] = {}  # y's position -> its one-hot exponents
     outputs: list[dict] = [{} for _ in (rng if reverse else f.coords)]
     for k, p in enumerate(f.coords):
         for mono, c in p.terms:
@@ -55,10 +57,10 @@ def _partial(f: PolyMap, j: int, reverse: bool) -> PolyMap:
                 e = mono[i]
                 if e:
                     lowered = mono[:i] + (e - 1,) + mono[i + 1:]
-                    if reverse:
-                        outputs[t][lowered + units[k]] = c * e
-                    else:
-                        outputs[k][lowered + units[t]] = c * e
+                    out, pos = (t, k) if reverse else (k, t)
+                    if pos not in units:
+                        units[pos] = (0,) * pos + (1,) + (0,) * (width - pos - 1)
+                    outputs[out][lowered + units[pos]] = c * e
     dim = domain.total
     return PolyMap(domain, tuple(Polynomial(dim, _canonical_terms(acc)) for acc in outputs))
 
@@ -97,17 +99,11 @@ def partial_forward(f: PolyMap, j: int) -> PolyMap:
 
 
 def forward_from_reverse(f: PolyMap) -> PolyMap:
-    """Forward derivative reconstructed by transposing the reverse derivative.
-
-    Takes the partial reverse derivative of R[f] in its covector block, then
-    zeroes that block out.  Exactly equal to :func:`forward_derivative` in
-    this model.
+    """Forward derivative reconstructed as the linear transpose of the reverse
+    derivative in its covector block.  Exactly equal to
+    :func:`forward_derivative` in this model.
     """
-    r = reverse_derivative(f)
-    rr = partial_reverse(r, 2)  # (n, m, n) -> m
-    n = f.domain.total
-    src = ArityProfile((n, n))
-    return precompose_blocks(rr, src, {1: 1, 3: 2})
+    return dagger(reverse_derivative(f), 2)
 
 
 def is_klinear_in_block(f: PolyMap, j: int) -> bool:
@@ -155,6 +151,12 @@ def dagger(f: PolyMap, j: int) -> PolyMap:
     return precompose_blocks(rj, src, placement)
 
 
+def _in_context(f: PolyMap, j: int) -> PolyMap:
+    """f in slot j of a tuple whose other slots project f's other blocks."""
+    nb = f.domain.block_count
+    return pair([f if t == j else projection(f.domain, t) for t in range(1, nb + 1)])
+
+
 def slice_compose(g: PolyMap, f: PolyMap, context_dim: int) -> PolyMap:
     """Composition in a fixed context: g(c, f(c, x)).
 
@@ -170,7 +172,7 @@ def slice_compose(g: PolyMap, f: PolyMap, context_dim: int) -> PolyMap:
         raise ValueError(
             f"inner map produces {f.codomain_dim} outputs, outer expects {g.domain.blocks[1]}"
         )
-    return compose(g, pair([projection(f.domain, 1), f]))
+    return compose(g, _in_context(f, 2))
 
 
 def slice_reverse(f: PolyMap, context_dim: int) -> PolyMap:

@@ -82,30 +82,25 @@ def random_dlinear_map(rng: random.Random, profile: ArityProfile, j: int,
     others = [i for i in range(dim) if i not in block]
     coords = []
     for _ in range(codomain_dim):
-        summands = []
+        terms = []
         for i in block:
-            # coefficient polynomial over the other coordinates only
-            terms = []
+            # x_i times a coefficient monomial over the other coordinates only
             for _ in range(rng.randint(0, cfg.max_terms - 1)):
                 exps = [0] * dim
+                exps[i] = 1
                 for _ in range(rng.randint(0, cfg.max_degree - 1)):
                     if others:
                         exps[rng.choice(others)] += 1
                 terms.append((tuple(exps), rng.choice(COEFF_POOL)))
-            summands.append(_accumulate(dim, terms) * Polynomial.variable(i, dim))
-        coords.append(Polynomial.sum(dim, summands))
+        coords.append(_accumulate(dim, terms))
     return PolyMap(profile, tuple(coords))
 
 
-def random_composable_pair(rng: random.Random, cfg: CorpusConfig,
-                           max_dim: int | None = None,
-                           max_degree: int | None = None) -> tuple[PolyMap, PolyMap]:
+def random_composable_pair(rng: random.Random, cfg: CorpusConfig) -> tuple[PolyMap, PolyMap]:
     """Single-block f : A -> B and g : B -> C that compose."""
-    d = max_dim if max_dim is not None else cfg.max_dim
-    deg = max_degree if max_degree is not None else cfg.max_degree
-    a, b, c = (rng.randint(1, d) for _ in range(3))
-    f = random_map(rng, ArityProfile((a,)), b, deg, cfg.max_terms)
-    g = random_map(rng, ArityProfile((b,)), c, deg, cfg.max_terms)
+    a, b, c = (rng.randint(1, cfg.max_dim) for _ in range(3))
+    f = random_map(rng, ArityProfile((a,)), b, cfg.max_degree, cfg.max_terms)
+    g = random_map(rng, ArityProfile((b,)), c, cfg.max_degree, cfg.max_terms)
     return f, g
 
 

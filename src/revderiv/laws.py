@@ -22,6 +22,7 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from .combinators import (
+    _in_context,
     dagger,
     forward_derivative,
     forward_from_reverse,
@@ -98,7 +99,8 @@ class LawReport:
         }
 
 
-def _cmp(law: str, inputs: Sequence[PolyMap], lhs: PolyMap, rhs: PolyMap) -> LawFailure | None:
+def _cmp(law: str, inputs: Sequence[PolyMap], lhs: PolyMap | Polynomial,
+         rhs: PolyMap | Polynomial) -> LawFailure | None:
     if lhs == rhs:
         return None
     return LawFailure(law, [str(m) for m in inputs], str(lhs), str(rhs))
@@ -113,12 +115,6 @@ def _flag(law: str, inputs: Sequence[PolyMap], ok: bool, lhs: str, rhs: str) -> 
 # -- the seven axioms of the reverse combinator, at block j -------------------
 #
 # On a one-block map, ``partial_reverse(f, 1)`` is ``reverse_derivative(f)``.
-
-
-def _in_context(f: PolyMap, j: int) -> PolyMap:
-    """f in slot j of a tuple whose other slots project f's other blocks."""
-    nb = f.domain.block_count
-    return pair([f if t == j else projection(f.domain, t) for t in range(1, nb + 1)])
 
 
 def _keep(nb: int) -> dict[int, int]:
@@ -159,10 +155,8 @@ def _chain_rhs(f: PolyMap, g: PolyMap, j: int) -> PolyMap:
     through g at the pushed-forward base point, then through f."""
     nb = f.domain.block_count
     dom = f.domain.concat(g.codomain_dim)
-    blocks = [projection(dom, t) for t in range(1, nb + 2)]
-    base = blocks[:j - 1] + [precompose_blocks(f, dom, _keep(nb))] + blocks[j:]
-    inner = compose(partial_reverse(g, j), pair(base))
-    return compose(partial_reverse(f, j), pair(blocks[:nb] + [inner]))
+    inner = compose(partial_reverse(g, j), _in_context(precompose_blocks(f, dom, _keep(nb)), j))
+    return compose(partial_reverse(f, j), _in_context(inner, nb + 1))
 
 
 def _chain(law: str, f: PolyMap, g: PolyMap, j: int) -> LawFailure | None:
@@ -261,8 +255,7 @@ def law_schwarz(rng: random.Random, cfg: CorpusConfig) -> LawFailure | None:
     f = random_single_block_map(rng, cfg, dim, 1)
     p = f.coords[0]
     i, j = rng.randrange(dim), rng.randrange(dim)
-    lhs, rhs = p.partial(i).partial(j), p.partial(j).partial(i)
-    return _flag("schwarz", [f], lhs == rhs, str(lhs), str(rhs))
+    return _cmp("schwarz", [f], p.partial(i).partial(j), p.partial(j).partial(i))
 
 
 def law_partial_pairing(rng: random.Random, cfg: CorpusConfig) -> LawFailure | None:
@@ -413,13 +406,13 @@ def law_dlinear_implies_klinear(rng: random.Random, cfg: CorpusConfig) -> LawFai
 def law_stable(rng: random.Random, cfg: CorpusConfig) -> LawFailure | None:
     f = random_single_block_map(rng, cfg)
     check = check_stable_rule(f)
-    return _flag("stable", [f], check.ok, str(check.lhs), str(check.rhs))
+    return _cmp("stable", [f], check.lhs, check.rhs)
 
 
 def law_stable_context(rng: random.Random, cfg: CorpusConfig) -> LawFailure | None:
     f = random_context_map(rng, cfg)
     check = check_stable_rule(f, 2)
-    return _flag("stable-context", [f], check.ok, str(check.lhs), str(check.rhs))
+    return _cmp("stable-context", [f], check.lhs, check.rhs)
 
 
 def law_second_reverse(rng: random.Random, cfg: CorpusConfig) -> LawFailure | None:
@@ -459,8 +452,9 @@ def law_dagger_bridge(rng: random.Random, cfg: CorpusConfig) -> LawFailure | Non
     f = random_single_block_map(rng, cfg)
     for order in range(1, cfg.max_order + 2):
         check = check_dagger_bridge(f, order)
-        if not check.ok:
-            return LawFailure("dagger-bridge", [str(f)], str(check.lhs), str(check.rhs))
+        bad = _cmp("dagger-bridge", [f], check.lhs, check.rhs)
+        if bad:
+            return bad
     return None
 
 
@@ -522,8 +516,9 @@ def _fdb(mode: str, rng: random.Random, cfg: CorpusConfig) -> LawFailure | None:
                 f"fdb-{mode}-count", [str(f), str(g)],
                 str(len(rep.summands)), str(BELL[n + 1]),
             )
-        if not rep.equal:
-            return LawFailure(f"fdb-{mode}", [str(f), str(g)], str(rep.total), str(rep.oracle))
+        bad = _cmp(f"fdb-{mode}", [f, g], rep.total, rep.oracle)
+        if bad:
+            return bad
     return None
 
 
@@ -539,10 +534,7 @@ def law_fdb_reverse_base(rng: random.Random, cfg: CorpusConfig) -> LawFailure | 
     """Order offset 0 of the reverse partition sum is the chain rule verbatim."""
     f, g = random_composable_pair(rng, cfg)
     rep = fdb_report(f, g, 0, "reverse")
-    rhs = _chain_rhs(f, g, 1)
-    if rep.total != rhs:
-        return LawFailure("fdb-reverse-base", [str(f), str(g)], str(rep.total), str(rhs))
-    return None
+    return _cmp("fdb-reverse-base", [f, g], rep.total, _chain_rhs(f, g, 1))
 
 
 def law_fdb_reverse_structure(rng: random.Random, cfg: CorpusConfig) -> LawFailure | None:

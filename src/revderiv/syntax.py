@@ -7,11 +7,14 @@ A map is a parenthesized comma-separated tuple of polynomials over variables
 
 Printing (``str`` on Polynomial/PolyMap) emits exactly this grammar with
 terms in descending graded-lexicographic order, so parse-print-parse is the
-identity on canonical forms.
+identity on canonical forms of maps on at most ``MAX_COORDINATES`` (1,000)
+coordinates; a printed map on more, such as a deep derivative tower, does not
+parse back.
 
 One regex scan tokenizes the source before any grammar rule runs; each term's
 monomial is written once, and variables past ``MAX_COORDINATES`` are rejected.
-Parse errors carry the offending position for caret-style reporting.
+Parse errors carry the offending position for caret-style reporting; a number
+longer than the interpreter's int/str conversion limit is one too.
 """
 
 from __future__ import annotations
@@ -69,6 +72,14 @@ class _Parser:
         self.i += 1
         return tok
 
+    def number(self, digits: str, pos: int) -> int:
+        """The value of a number token at ``pos``; one longer than the
+        interpreter's int/str conversion limit is a parse error there."""
+        try:
+            return int(digits)
+        except ValueError as err:
+            raise ParseError(str(err), self.source, pos) from None
+
     # map := '(' [ poly (',' poly)* ] ')'
     def map(self) -> list[list[_RawTerm]]:
         self.take("(")
@@ -104,12 +115,12 @@ class _Parser:
 
     # coeff := nat ('/' posnat)?
     def coeff(self) -> Fraction:
-        num = int(self.take("num")[1])
+        num = self.number(*self.take("num")[1:])
         if not self.at("/"):
             return Fraction(num)
         self.take()
         _, text, pos = self.take("num")
-        den = int(text)
+        den = self.number(text, pos)
         if den == 0:
             raise ParseError("zero denominator", self.source, pos)
         return Fraction(num, den)
@@ -117,7 +128,7 @@ class _Parser:
     # factor := var ('^' nat)?
     def factor(self) -> tuple[int, int]:
         _, text, pos = self.take("var")
-        index = int(text[1:])
+        index = self.number(text[1:], pos)
         if index == 0:
             raise ParseError("variables are numbered from x1", self.source, pos)
         if index > MAX_COORDINATES:
@@ -128,7 +139,7 @@ class _Parser:
         if not self.at("^"):
             return index - 1, 1
         self.take()
-        return index - 1, int(self.take("num")[1])
+        return index - 1, self.number(*self.take("num")[1:])
 
     def build(self, raws: list[list[_RawTerm]], dim: int, declared: str) -> tuple[Polynomial, ...]:
         """The parsed polynomials in ``dim`` coordinates; ``declared`` states ``dim`` in errors."""

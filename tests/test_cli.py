@@ -401,6 +401,83 @@ def test_fdb_cap(capsys):
     assert code2 == 0
 
 
+# -- exit status 2 ------------------------------------------------------------------
+
+# every refusal a command makes after argparse has accepted its arguments:
+# (argv, environment, the exact stderr)
+REFUSALS = [
+    (["derive", "--map", "(x1)", "--blocks", "500,501"], {},
+     "error: --blocks total 1001 exceeds the cap 1000; a map has at most that many coordinates\n"),
+    (["derive", "--map", "(x1^)"], {},
+     "error: expected 'num'\n(x1^)\n    ^\n"),
+    (["derive", "--map", "(x1 + x1001)"], {},
+     "error: x1001 exceeds the cap of 1000 coordinates\n(x1 + x1001)\n      ^\n"),
+    (["derive", "--map", "(x1)", "--order", "-1"], {},
+     "error: --order must be nonnegative\n"),
+    (["derive", "--map", "(x1)", "--order", "2001"], {},
+     "error: --order 2001 exceeds the cap 2000; derive builds no higher tower\n"),
+    (["derive", "--map", "(x1*x2)", "--blocks", "1,1", "--order", "2", "--partial", "1"], {},
+     "error: --partial applies to first derivatives (--order 1)\n"),
+    (["derive", "--map", "(x1*x2)", "--blocks", "1,1"], {},
+     "error: total derivatives need a single-block domain; use --partial J or declare one block\n"),
+    (["derive", "--map", "(x1)", "--partial", "2"], {},
+     "error: block index 2 out of range for 1 blocks\n"),
+    (["derive", "--map", "(x1)", "--partial", "0", "--mode", "forward"], {},
+     "error: block index 0 out of range for 1 blocks\n"),
+    (["verify", "--cases", "0"], {}, "error: --cases must be positive\n"),
+    (["verify", "--max-dim", "0"], {}, "error: --max-dim must be positive\n"),
+    (["verify", "--max-deg", "-1"], {}, "error: --max-deg must be positive\n"),
+    (["verify", "--max-order", "0"], {}, "error: --max-order must be positive\n"),
+    (["verify", "--suite", "fdb-reverse", "--max-order", "5"], {},
+     "error: --max-order 5 exceeds the cap 4; the fdb suites go no higher; pick another --suite\n"),
+    (["verify", "--suite", "rd-axioms"], {"RFDB_SEED": "abc"},
+     "error: RFDB_SEED must be an integer, got 'abc'\n"),
+    (["partitions", "0"], {}, "error: n must be at least 1\n"),
+    (["partitions", "11"], {}, "error: n 11 exceeds the cap 10; raise --max-n if you mean it\n"),
+    (["partitions", "13", "--max-n", "12"], {},
+     "error: n 13 exceeds the cap 12; raise --max-n if you mean it\n"),
+    (["fdb", "--f", "(x1)", "--g", "(x1)", "--n", "-1", "--mode", "forward"], {},
+     "error: --n must be nonnegative\n"),
+    (["fdb", "--f", "(x1)", "--g", "(x1)", "--n", "5", "--mode", "forward"], {},
+     "error: --n 5 exceeds the cap 4; raise --max-n if you mean it\n"),
+    (["fdb", "--f", "(x1 +)", "--g", "(x1)", "--n", "0", "--mode", "forward"], {},
+     "error: expected a coefficient or a variable\n(x1 +)\n     ^\n"),
+    (["fdb", "--f", "(x1)", "--g", "(x1*x2)", "--n", "0", "--mode", "reverse"], {},
+     "error: uses x2 but declared blocks cover 1 coordinates\n(x1*x2)\n    ^\n"
+     "(--g is read on the 1 outputs of --f, so that the two compose)\n"),
+]
+
+
+@pytest.mark.parametrize("argv, env, stderr", REFUSALS,
+                         ids=[" ".join(argv) for argv, _, _ in REFUSALS])
+def test_refusals_exit_2_with_their_exact_message(capsys, monkeypatch, argv, env, stderr):
+    monkeypatch.delenv("RFDB_SEED", raising=False)
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    assert run_cli(capsys, *argv) == (2, "", stderr)
+
+
+def test_only_the_library_errors_of_the_derivative_are_refusals(capsys, monkeypatch):
+    # a ValueError from fdb_report is a refusal; any other error is a bug and
+    # propagates, as does one raised outside the derivative call in derive
+    def refuse(f, g, n, mode):
+        raise ValueError("no such pair")
+
+    monkeypatch.setattr(cli, "fdb_report", refuse)
+    argv = ("fdb", "--f", "(x1)", "--g", "(x1)", "--n", "0", "--mode", "forward")
+    assert run_cli(capsys, *argv) == (2, "", "error: no such pair\n")
+
+    def bug(*args):
+        raise KeyError("bug")
+
+    monkeypatch.setattr(cli, "fdb_report", bug)
+    with pytest.raises(KeyError):
+        run_cli(capsys, *argv)
+    monkeypatch.setattr(cli, "parse_map", bug)
+    with pytest.raises(KeyError):
+        run_cli(capsys, "derive", "--map", "(x1)")
+
+
 def test_help_documents_exit_codes(capsys):
     with pytest.raises(SystemExit) as exc:
         run_cli(capsys, "--help")

@@ -1,6 +1,7 @@
 """First-order combinators against hand-checked and oracle-built values."""
 
 import random
+import tracemalloc
 
 import pytest
 
@@ -148,6 +149,31 @@ def test_partial_forwards_sum_to_total():
             sel = select_blocks(fine, list(range(1, nb + 1)) + [nb + j])
             acc = acc + compose(partial_forward(f, j), sel)
         assert acc == total
+
+
+def _peak_bytes(derivative, f):
+    tracemalloc.start()
+    try:
+        derivative(f)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+WIDE = 3000
+
+
+@pytest.mark.parametrize("derivative, f", [
+    # the single variable x3000
+    (forward_derivative, PolyMap(ArityProfile((WIDE,)), (Polynomial.variable(WIDE - 1, WIDE),))),
+    # (0, ..., 0, x1): 3000 outputs, one of them nonzero
+    (reverse_derivative, PolyMap(ArityProfile((1,)), (Polynomial.zero(1),) * (WIDE - 1)
+                                 + (Polynomial.variable(0, 1),))),
+], ids=["forward", "reverse"])
+def test_wide_sparse_derivative_allocates_per_emitted_term(derivative, f):
+    # a table of one-hot exponents for every fresh coordinate would take
+    # 3000 x 3000 ints, over 70 MB; the one emitted term needs a few kB
+    assert _peak_bytes(derivative, f) < 5_000_000
 
 
 # -- forward from reverse ----------------------------------------------------------

@@ -93,9 +93,9 @@ def test_summand_counts_follow_partition_counts():
 
 def test_identities_on_random_pairs():
     rng = random.Random(31)
-    cfg = CorpusConfig()
+    cfg = CorpusConfig(max_dim=2, max_degree=2)
     for _ in range(5):
-        f, g = random_composable_pair(rng, cfg, max_dim=2, max_degree=2)
+        f, g = random_composable_pair(rng, cfg)
         for n in range(3):
             assert fdb_report(f, g, n, "forward").total == forward_tower(compose(g, f), n + 1)
             assert fdb_report(f, g, n, "reverse").total == reverse_tower(compose(g, f), n + 1)
@@ -103,8 +103,8 @@ def test_identities_on_random_pairs():
 
 def test_reverse_never_takes_forward_of_outer_map():
     rng = random.Random(32)
-    cfg = CorpusConfig()
-    f, g = random_composable_pair(rng, cfg, max_dim=2, max_degree=2)
+    cfg = CorpusConfig(max_dim=2, max_degree=2)
+    f, g = random_composable_pair(rng, cfg)
     for n in range(4):
         rep = fdb_report(f, g, n, "reverse")
         for s in rep.summands:

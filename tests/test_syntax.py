@@ -1,6 +1,7 @@
 """Grammar, canonical printing, and round-trips."""
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from revderiv.corpus import CorpusConfig, random_map, random_profile
 from revderiv.maps import ArityProfile, PolyMap
 from revderiv.poly import Polynomial
 from revderiv.syntax import MAX_COORDINATES, ParseError, parse_map, parse_polynomial
+from revderiv.towers import reverse_tower
 
 
 def test_parse_simple_map():
@@ -100,6 +102,38 @@ def test_variables_past_the_coordinate_cap_are_rejected():
     cap = MAX_COORDINATES
     assert (err.value.message, err.value.position) == (
         f"x{cap + 1} exceeds the cap of {cap} coordinates", 6)
+
+
+LONG = "7" * 5000
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="this interpreter has no limit on int/str conversions")
+@pytest.mark.parametrize("source, position", [
+    (f"({LONG})", 1),
+    (f"(1/{LONG})", 3),
+    (f"(x1^{LONG})", 4),
+    (f"(x{LONG})", 1),
+], ids=["coefficient", "denominator", "exponent", "variable-index"])
+def test_numbers_past_the_int_str_limit_are_parse_errors(source, position):
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        with pytest.raises(ParseError) as err:
+            parse_map(source)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert err.value.position == position
+
+
+def test_round_trip_holds_up_to_the_coordinate_cap():
+    # the order-k reverse tower of a one-variable map has k + 1 coordinates
+    t = reverse_tower(parse_map("(x1^999)"), 999)
+    assert t.domain.total == MAX_COORDINATES
+    assert parse_map(str(t), t.domain.blocks) == t
+    past = str(reverse_tower(parse_map("(x1^1000)"), 1000))
+    with pytest.raises(ParseError, match=f"x{MAX_COORDINATES + 1} exceeds the cap"):
+        parse_map(past)
 
 
 @pytest.mark.parametrize("dim, coeffs, text", [
