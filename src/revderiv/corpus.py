@@ -2,8 +2,8 @@
 
 Polynomial identities are checked symbolically, so small shapes suffice:
 blocks of dimension up to 3, degree up to 3, and coefficients drawn from
-{-3, ..., 3} plus 1/2.  Everything is driven by an explicit
-``random.Random`` so a seed reproduces a run byte-for-byte.
+{-3, ..., 3} (ints) plus 1/2 (a ``Fraction``).  Everything is driven by an
+explicit ``random.Random`` so a seed reproduces a run byte-for-byte.
 """
 
 from __future__ import annotations
@@ -13,9 +13,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .maps import ArityProfile, PolyMap
-from .poly import Polynomial, _accumulate
+from .poly import Coefficient, Polynomial, _accumulate
 
-COEFF_POOL = tuple(Fraction(k) for k in range(-3, 4)) + (Fraction(1, 2),)
+COEFF_POOL = tuple(range(-3, 4)) + (Fraction(1, 2),)
 
 
 @dataclass(frozen=True)
@@ -104,5 +104,5 @@ def random_composable_pair(rng: random.Random, cfg: CorpusConfig) -> tuple[PolyM
     return f, g
 
 
-def random_scalar(rng: random.Random) -> Fraction:
+def random_scalar(rng: random.Random) -> Coefficient:
     return rng.choice(COEFF_POOL)

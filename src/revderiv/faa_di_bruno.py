@@ -30,7 +30,6 @@ Combin. 13, 2006).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .maps import ArityProfile, PolyMap, compose, pair, precompose_blocks, projection, sum_maps
 from .partitions import SetPartition, enumerate_partitions
@@ -186,7 +185,7 @@ def _first_difference(lhs: PolyMap, rhs: PolyMap) -> str | None:
     p, q = lhs.coords[i], rhs.coords[i]
     # the leading monomial of the difference is the highest one that differs
     mono = (p - q).terms[0][0]
-    text = str(Polynomial(p.dim, ((mono, Fraction(1)),)))
+    text = str(Polynomial(p.dim, ((mono, 1),)))
     cl, cr = p.as_dict().get(mono, 0), q.as_dict().get(mono, 0)
     return f"coordinate {i + 1}, monomial {text}: {cl} vs {cr}"
 

@@ -18,7 +18,6 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Callable, Sequence
 
 from .combinators import (
@@ -57,7 +56,7 @@ from .maps import (
     sum_maps,
     zero_map,
 )
-from .poly import Polynomial
+from .poly import Coefficient, Polynomial
 from .towers import check_dagger_bridge, check_stable_rule, forward_tower, reverse_tower
 
 BELL = {1: 1, 2: 2, 3: 5, 4: 15, 5: 52}
@@ -122,7 +121,7 @@ def _keep(nb: int) -> dict[int, int]:
     return {t: t for t in range(1, nb + 1)}
 
 
-def _linearity(law: str, f: PolyMap, g: PolyMap, s: Fraction, t: Fraction,
+def _linearity(law: str, f: PolyMap, g: PolyMap, s: Coefficient, t: Coefficient,
                j: int) -> LawFailure | None:
     """Linearity of the combinator: deriving a linear combination."""
     lhs = partial_reverse(f.scale(s) + g.scale(t), j)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .poly import Polynomial
+from .poly import Coefficient, Polynomial
 
 
 @dataclass(frozen=True)
@@ -85,7 +85,7 @@ class PolyMap:
     def codomain_dim(self) -> int:
         return len(self.coords)
 
-    def evaluate(self, point: Sequence[int | Fraction]) -> tuple[Fraction, ...]:
+    def evaluate(self, point: Sequence[Coefficient]) -> tuple[Fraction, ...]:
         if len(point) != self.domain.total:
             raise ValueError(
                 f"point has {len(point)} coordinates, domain has {self.domain.total}"
@@ -95,7 +95,7 @@ class PolyMap:
     def __add__(self, other: "PolyMap") -> "PolyMap":
         return sum_maps(self.domain, self.codomain_dim, (self, other))
 
-    def scale(self, value: int | Fraction) -> "PolyMap":
+    def scale(self, value: Coefficient) -> "PolyMap":
         return PolyMap(self.domain, tuple(p.scale(value) for p in self.coords))
 
     def is_zero(self) -> bool:

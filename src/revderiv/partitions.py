@@ -56,6 +56,19 @@ def _from_growth_string(labels: Sequence[int]) -> SetPartition:
     return SetPartition(tuple(tuple(b) for b in blocks))
 
 
+def _walk(labels: list[int], i: int, top: int, out: list[SetPartition]) -> None:
+    """Fill positions i.. of the growth string, high labels first.  A module
+    function, not a closure: a nested function that calls itself is a
+    reference cycle, which would keep ``out`` alive until the next garbage
+    collection."""
+    if i == len(labels):
+        out.append(_from_growth_string(labels))
+        return
+    for label in range(top + 1, -1, -1):
+        labels[i] = label
+        _walk(labels, i + 1, max(top, label), out)
+
+
 def enumerate_partitions(n: int) -> list[SetPartition]:
     """All set partitions of {1, ..., n}, each exactly once, finest first.
 
@@ -65,17 +78,7 @@ def enumerate_partitions(n: int) -> list[SetPartition]:
         raise ValueError("cannot partition a negative-size set")
     if n == 0:
         return []
-    labels = [0] * n
     out: list[SetPartition] = []
-
-    def walk(i: int, top: int) -> None:
-        if i == n:
-            out.append(_from_growth_string(labels))
-            return
-        for label in range(top + 1, -1, -1):
-            labels[i] = label
-            walk(i + 1, max(top, label))
-
-    walk(1, 0)
+    _walk([0] * n, 1, 0, out)
     return out
 

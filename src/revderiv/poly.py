@@ -7,6 +7,13 @@ space is explicit.  Terms are stored sorted in descending graded-lexicographic
 order with no zero coefficients, which makes structural equality coincide
 with mathematical equality and makes printing deterministic.
 
+A coefficient is stored as an ``int`` when its value is integral and as a
+``Fraction`` with a denominator other than 1 otherwise, so integer values
+never pay for ``Fraction`` arithmetic.  Equal values compare and hash equal,
+so equality, hashing, the printed text, the JSON reports and
+:meth:`Polynomial.evaluate` (which returns a ``Fraction``) are the same as if
+every coefficient were a ``Fraction``.
+
 Every operation in which like terms can meet streams its raw terms into one
 accumulator that merges them in one dict and sorts once, and
 :meth:`Polynomial.sum` adds any number of polynomials the same way.
@@ -21,19 +28,22 @@ from typing import Iterable, Mapping, Sequence
 
 
 Monomial = tuple[int, ...]
+Coefficient = int | Fraction
 
 
-def _canonical_terms(coeffs: Mapping[Monomial, Fraction]) -> tuple[tuple[Monomial, Fraction], ...]:
-    """Drop zero coefficients and sort descending in (degree, monomial)."""
-    items = [(m, c) for m, c in coeffs.items() if c != 0]
+def _canonical_terms(coeffs: Mapping[Monomial, Coefficient]) -> tuple[tuple[Monomial, Coefficient], ...]:
+    """Drop zero coefficients, store integral ones as ints and sort
+    descending in (degree, monomial)."""
+    items = [(m, c if type(c) is int or c.denominator != 1 else c.numerator)
+             for m, c in coeffs.items() if c]
     items.sort(key=lambda item: (sum(item[0]), item[0]), reverse=True)
     return tuple(items)
 
 
-def _accumulate(dim: int, terms: Iterable[tuple[Monomial, Fraction]]) -> "Polynomial":
+def _accumulate(dim: int, terms: Iterable[tuple[Monomial, Coefficient]]) -> "Polynomial":
     """The one place where terms merge: like monomials add up in one dict,
     which is canonicalized once; zero sums are dropped then, not while merging."""
-    acc: dict[Monomial, Fraction] = {}
+    acc: dict[Monomial, Coefficient] = {}
     for m, c in terms:
         acc[m] = acc[m] + c if m in acc else c
     return Polynomial(dim, _canonical_terms(acc))
@@ -48,12 +58,12 @@ class Polynomial:
     """
 
     dim: int
-    terms: tuple[tuple[Monomial, Fraction], ...]
+    terms: tuple[tuple[Monomial, Coefficient], ...]
 
     # -- constructors -------------------------------------------------
 
     @staticmethod
-    def from_dict(dim: int, coeffs: Mapping[Monomial, Fraction]) -> "Polynomial":
+    def from_dict(dim: int, coeffs: Mapping[Monomial, Coefficient]) -> "Polynomial":
         for mono in coeffs:
             if len(mono) != dim:
                 raise ValueError(f"monomial {mono} has {len(mono)} exponents, expected {dim}")
@@ -66,11 +76,8 @@ class Polynomial:
         return Polynomial(dim, ())
 
     @staticmethod
-    def constant(dim: int, value: int | Fraction) -> "Polynomial":
-        c = Fraction(value)
-        if c == 0:
-            return Polynomial.zero(dim)
-        return Polynomial(dim, (((0,) * dim, c),))
+    def constant(dim: int, value: Coefficient) -> "Polynomial":
+        return Polynomial(dim, _canonical_terms({(0,) * dim: value}))
 
     @staticmethod
     def sum(dim: int, polys: Iterable["Polynomial"]) -> "Polynomial":
@@ -86,7 +93,7 @@ class Polynomial:
         if not 0 <= index < dim:
             raise IndexError(f"coordinate index {index} out of range for dimension {dim}")
         mono = tuple(1 if i == index else 0 for i in range(dim))
-        return Polynomial(dim, ((mono, Fraction(1)),))
+        return Polynomial(dim, ((mono, 1),))
 
     # -- queries ------------------------------------------------------
 
@@ -97,7 +104,7 @@ class Polynomial:
         """Largest monomial degree; -1 for the zero polynomial."""
         return max((sum(m) for m, _ in self.terms), default=-1)
 
-    def as_dict(self) -> dict[Monomial, Fraction]:
+    def as_dict(self) -> dict[Monomial, Coefficient]:
         return dict(self.terms)
 
     # -- k-module and ring structure -----------------------------------
@@ -111,13 +118,11 @@ class Polynomial:
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + (-other)
 
-    def scale(self, value: int | Fraction) -> "Polynomial":
-        c = Fraction(value)
-        if c == 0:
-            return Polynomial.zero(self.dim)
-        return Polynomial(self.dim, tuple((m, c * k) for m, k in self.terms))
+    def scale(self, value: Coefficient) -> "Polynomial":
+        # a zero value drops every term; an integral product is stored as an int
+        return Polynomial(self.dim, _canonical_terms({m: value * k for m, k in self.terms}))
 
-    def __mul__(self, other: "Polynomial | int | Fraction") -> "Polynomial":
+    def __mul__(self, other: "Polynomial | Coefficient") -> "Polynomial":
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         if self.dim != other.dim:
@@ -127,7 +132,7 @@ class Polynomial:
             for m1, c1 in self.terms for m2, c2 in other.terms
         ))
 
-    def __rmul__(self, other: "int | Fraction") -> "Polynomial":
+    def __rmul__(self, other: Coefficient) -> "Polynomial":
         return self.scale(other)
 
     def __pow__(self, exponent: int) -> "Polynomial":
@@ -156,7 +161,7 @@ class Polynomial:
 
     # -- evaluation and substitution -------------------------------------
 
-    def evaluate(self, point: Sequence[int | Fraction]) -> Fraction:
+    def evaluate(self, point: Sequence[Coefficient]) -> Fraction:
         if len(point) != self.dim:
             raise ValueError(f"point has {len(point)} coordinates, expected {self.dim}")
         values = [Fraction(v) for v in point]
@@ -239,7 +244,7 @@ class Polynomial:
             return "0"
         pieces: list[str] = []
         for mono, coeff in self.terms:
-            # int coefficients (from_dict stores what it is given) have these too
+            # an int coefficient has these too, with denominator 1
             num, den = coeff.numerator, coeff.denominator
             body = str(abs(num)) if den == 1 else f"{abs(num)}/{den}"
             factors = "*".join([f"x{i}" if e == 1 else f"x{i}^{e}"

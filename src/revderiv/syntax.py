@@ -24,12 +24,11 @@ from fractions import Fraction
 from typing import Sequence
 
 from .maps import ArityProfile, PolyMap
-from .poly import Polynomial, _accumulate
+from .poly import Coefficient, Polynomial, _accumulate
 
 MAX_COORDINATES = 1000
 
 _TOKEN_RE = re.compile(r"\s*(?:(?P<var>x\d+)|(?P<num>\d+)|(?P<sym>[-+*/^(),])|(?P<bad>\S))")
-_ONE = Fraction(1)
 
 
 class ParseError(ValueError):
@@ -44,7 +43,7 @@ class ParseError(ValueError):
 
 
 # raw term: (coefficient, [(0-based variable index, exponent), ...])
-_RawTerm = tuple[Fraction, list[tuple[int, int]]]
+_RawTerm = tuple[Coefficient, list[tuple[int, int]]]
 
 
 class _Parser:
@@ -104,7 +103,7 @@ class _Parser:
         if self.at("num"):
             coeff, factors = self.coeff(), []
         elif self.at("var"):
-            coeff, factors = _ONE, [self.factor()]
+            coeff, factors = 1, [self.factor()]
         else:
             raise ParseError("expected a coefficient or a variable", self.source,
                              self.tokens[self.i][2])
@@ -113,17 +112,17 @@ class _Parser:
             factors.append(self.factor())
         return (-coeff if negative else coeff), factors
 
-    # coeff := nat ('/' posnat)?
-    def coeff(self) -> Fraction:
+    # coeff := nat ('/' posnat)?, an int when the denominator divides it
+    def coeff(self) -> Coefficient:
         num = self.number(*self.take("num")[1:])
         if not self.at("/"):
-            return Fraction(num)
+            return num
         self.take()
         _, text, pos = self.take("num")
         den = self.number(text, pos)
         if den == 0:
             raise ParseError("zero denominator", self.source, pos)
-        return Fraction(num, den)
+        return num // den if num % den == 0 else Fraction(num, den)
 
     # factor := var ('^' nat)?
     def factor(self) -> tuple[int, int]:

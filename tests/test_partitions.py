@@ -1,5 +1,7 @@
 """Partition enumeration against a Bell-triangle oracle."""
 
+import gc
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -70,3 +72,15 @@ def test_block_sizes_and_ground_size():
     assert p.block_sizes() == (2, 2, 1)
     assert p.ground_size == 5
     assert str(p) == "{1,4}|{2,3}|{5}"
+
+
+def test_enumeration_leaves_no_reference_cycle():
+    # a cycle would keep the whole list of partitions alive until the
+    # collector next runs, which integer-only arithmetic makes rarer
+    gc.collect()
+    gc.disable()
+    try:
+        assert len(enumerate_partitions(6)) == 203
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

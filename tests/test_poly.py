@@ -1,13 +1,17 @@
 """Polynomial arithmetic against independent brute-force oracles."""
 
+import random
 from fractions import Fraction
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
+from revderiv.combinators import forward_derivative, reverse_derivative
+from revderiv.corpus import random_map
 from revderiv.maps import ArityProfile, PolyMap, sum_maps, zero_map
 from revderiv.poly import Polynomial
+from revderiv.syntax import parse_map, parse_polynomial
 
 
 # -- independent oracles, deliberately naive ---------------------------------
@@ -57,6 +61,12 @@ def is_canonical(p):
     """Strictly descending in (degree, monomial), with no zero coefficient."""
     keys = [(sum(m), m) for m, _ in p.terms]
     return all(a > b for a, b in zip(keys, keys[1:])) and all(c != 0 for _, c in p.terms)
+
+
+def has_normal_coefficients(p):
+    """Every coefficient is an int, or a Fraction whose denominator is not 1."""
+    return all(type(c) is int or (type(c) is Fraction and c.denominator != 1)
+               for _, c in p.terms)
 
 
 def direct_eval(p, point):
@@ -323,11 +333,20 @@ def test_map_sum_against_merge_oracle(case):
         sum_maps(domain, 3, [zero_map(domain, 2)])
 
 
-@given(poly_triples(), substitutions())
-def test_every_operation_returns_canonical_terms(ps, case):
+@given(poly_triples(), substitutions(), st.integers(0, 2**32))
+def test_every_operation_returns_canonical_terms(ps, case, seed):
     p, q, r = ps
     outputs = [p + q, p - q, -p, p * q, (p + q) * r, p.scale(3), p.scale(0), p ** 2,
                Polynomial.sum(p.dim, [p, q, r, -q]), p.pad(p.dim + 1)]
+    # values that a Fraction computation makes integral
+    two_x1, half_x1 = P(1, {(1,): 2}), P(1, {(1,): Fraction(1, 2)})
+    outputs += [two_x1.scale(Fraction(1, 2)), half_x1 * two_x1,
+                Polynomial.constant(p.dim, Fraction(4, 2)), Polynomial.variable(0, p.dim),
+                Polynomial.from_dict(1, {(1,): Fraction(6, 3)}),
+                p.scale(Fraction(1, 2)), p.scale(Fraction(4, 2))]
+    for f in (parse_map("(1/2*x1^2 + 4/2*x1)"),
+              random_map(random.Random(seed), ArityProfile((3,)), 2, 3)):
+        outputs += [*f.coords, *reverse_derivative(f).coords, *forward_derivative(f).coords]
     outputs += [p.partial(i) for i in range(p.dim)]
     # route coordinate i to the last coordinate, or drop it
     outputs.append(p.reindex([p.dim - 1 if i % 2 else None for i in range(p.dim)], p.dim))
@@ -336,3 +355,13 @@ def test_every_operation_returns_canonical_terms(ps, case):
     outputs.append(s.substitute(args))
     for out in outputs:
         assert is_canonical(out), out.terms
+        assert has_normal_coefficients(out), out.terms
+
+
+def test_evaluate_returns_a_fraction_for_int_coefficients():
+    p = parse_polynomial("3*x1^2 - 2")
+    assert all(type(c) is int for _, c in p.terms)
+    for poly, point, value in ((p, [2], 10), (Polynomial.constant(1, 5), [0], 5),
+                               (Polynomial.zero(1), [2], 0)):
+        result = poly.evaluate(point)
+        assert type(result) is Fraction and result == value

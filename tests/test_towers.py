@@ -2,6 +2,7 @@
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -16,6 +17,19 @@ from revderiv.towers import (
     forward_tower,
     reverse_tower,
 )
+
+
+def test_equal_coefficients_give_one_cache_key():
+    # a raw Fraction(2) and the parser's int 2 are one map and one cache key
+    raw = PolyMap(ArityProfile((1,)), (Polynomial(1, (((1,), Fraction(2)),)),))
+    parsed = parse_map("(2*x1)")
+    assert raw == parsed and hash(raw) == hash(parsed)
+    reverse_tower.cache_clear()
+    first = reverse_tower(raw, 1)
+    hits = reverse_tower.cache_info().hits
+    assert reverse_tower(parsed, 1) == first
+    assert reverse_tower.cache_info().hits == hits + 1
+    assert str(first) == "(2*x2)"
 
 
 def test_reverse_tower_of_cube():
