@@ -33,13 +33,7 @@ from .maps import (
 from .partitions import SetPartition, enumerate_partitions
 from .poly import Monomial, Polynomial
 from .syntax import ParseError, parse_map, parse_polynomial
-from .towers import (
-    LawCheck,
-    check_dagger_bridge,
-    check_stable_rule,
-    forward_tower,
-    reverse_tower,
-)
+from .towers import forward_tower, reverse_tower
 
 __version__ = "0.1.0"
 
@@ -48,7 +42,6 @@ __all__ = [
     "CorpusConfig",
     "FdbReport",
     "FdbSummand",
-    "LawCheck",
     "LawFailure",
     "LawReport",
     "Monomial",
@@ -58,8 +51,6 @@ __all__ = [
     "Polynomial",
     "SetPartition",
     "SUITE_NAMES",
-    "check_dagger_bridge",
-    "check_stable_rule",
     "compose",
     "dagger",
     "embed_blocks",

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import io
 import json
 import os
@@ -213,7 +214,9 @@ def cmd_fdb(args: argparse.Namespace) -> int:
     return 0 if report.equal else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """Built once: argparse objects hold reference cycles, so a parser per call is garbage."""
     parser = argparse.ArgumentParser(
         prog="revderiv",
         description="Exact reverse/forward derivatives of polynomial maps "

@@ -13,36 +13,17 @@ order, with no recursion, so any order works.  The caches hold whole
 ``(f, order)`` results; a call does not look up the orders below it.
 
 The two towers are exchanged by the linear transpose in the covector/second
-slot; ``check_dagger_bridge`` verifies that exchange and
-``check_stable_rule`` verifies the first-order compatibility it rests on.
+slot; the ``stable`` law suite checks that exchange (the transpose bridge)
+and the first-order compatibility it rests on (the stable rule).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
-from .combinators import (
-    dagger,
-    forward_derivative,
-    partial_forward,
-    partial_reverse,
-    reverse_derivative,
-)
-from .maps import ArityProfile, PolyMap, precompose_blocks
-
-
-@dataclass(frozen=True)
-class LawCheck:
-    """Outcome of a symbolic identity check, with both sides as witnesses."""
-
-    ok: bool
-    lhs: PolyMap
-    rhs: PolyMap
-
-    def __bool__(self) -> bool:
-        return self.ok
+from .combinators import forward_derivative, partial_forward, partial_reverse, reverse_derivative
+from .maps import PolyMap
 
 
 def _tower(f: PolyMap, order: int, first: Callable[[PolyMap], PolyMap],
@@ -69,30 +50,3 @@ def reverse_tower(f: PolyMap, order: int) -> PolyMap:
 def forward_tower(f: PolyMap, order: int) -> PolyMap:
     """Iterated first-block partial forward derivative (order 0 = f)."""
     return _tower(f, order, forward_derivative, partial_forward)
-
-
-def check_stable_rule(f: PolyMap, j: int = 1) -> LawCheck:
-    """Deriving f in block j forward and then in reverse agrees, up to swapping
-    the last two argument blocks, with deriving it in block j twice in reverse.
-
-    j = 1 of a one-block map is the first-order compatibility of the towers;
-    j = 2 of (C1, A, C2) is the same rule with context blocks on both sides.
-    """
-    blocks = f.domain.blocks
-    nb = len(blocks)
-    lhs_raw = partial_reverse(partial_forward(f, j), j)  # blocks + (a, m) -> a
-    src = ArityProfile(blocks + (f.codomain_dim, blocks[j - 1]))
-    placement = {t: t for t in range(1, nb + 1)} | {nb + 1: nb + 2, nb + 2: nb + 1}
-    lhs = precompose_blocks(lhs_raw, src, placement)
-    rhs = partial_reverse(partial_reverse(f, j), j)  # blocks + (m, a) -> a
-    return LawCheck(lhs == rhs, lhs, rhs)
-
-
-def check_dagger_bridge(f: PolyMap, order: int) -> LawCheck:
-    """The linear transpose of the forward tower in its second block equals
-    the reverse tower of the same order."""
-    if order < 1:
-        raise ValueError("the transpose bridge needs order >= 1")
-    lhs = dagger(forward_tower(f, order), 2)
-    rhs = reverse_tower(f, order)
-    return LawCheck(lhs == rhs, lhs, rhs)

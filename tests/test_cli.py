@@ -1,6 +1,7 @@
 """The command-line contract: outputs, exit codes, determinism."""
 
 import dataclasses
+import gc
 import json
 import math
 import os
@@ -484,6 +485,22 @@ def test_help_documents_exit_codes(capsys):
     assert exc.value.code == 0
     out = capsys.readouterr().out
     assert "exit codes" in out
+
+
+def test_repeated_calls_leave_no_cyclic_garbage(capsys):
+    # argparse objects form reference cycles, so a parser built per call
+    # would leave garbage that only the cyclic collector frees
+    argv = ["derive", "--map", "(x1^3)", "--order", "2"]
+    assert cli.main(argv) == 0
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(20):
+            cli.main(argv)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert capsys.readouterr().out == "(6*x1*x2*x3)\n" * 21
 
 
 def test_closed_pipe_exits_with_the_verdict_and_no_traceback():
