@@ -22,9 +22,11 @@ nor the order within one matters.  In reverse mode label 1 names the
 covector, so sigma must fix 1.  Only one summand per *shape* therefore needs a
 real substitution: in forward mode a shape is the multiset of block sizes, in
 reverse mode the size of 1's block together with the multiset of the other
-sizes.  Every other summand re-indexes its shape's, which rewrites exponents
-only (Constantine & Savits, Trans. AMS 348(2), 1996; Hardy, Electron. J.
-Combin. 13, 2006).
+sizes.  Every other summand relabels its shape's by one permutation of the
+coordinates, which rewrites exponents only (Constantine & Savits, Trans. AMS
+348(2), 1996; Hardy, Electron. J. Combin. 13, 2006).  A report's JSON prints
+all its maps with one shared table of monomial texts, since they share a
+domain and most monomials recur among them.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from dataclasses import dataclass
 
 from .maps import ArityProfile, PolyMap, compose, pair, precompose_blocks, projection, sum_maps
 from .partitions import SetPartition, enumerate_partitions
-from .poly import Polynomial
+from .poly import Monomial, Polynomial, _text
 from .towers import forward_tower, reverse_tower
 
 # (combinator, which map, order): e.g. ("forward", "f", 2)
@@ -63,6 +65,12 @@ class FdbReport:
         return self.first_difference is None
 
     def to_json(self) -> dict:
+        # one monomial table for the summands, the total and the oracle
+        names: dict[Monomial, str] = {}
+
+        def text(f: PolyMap) -> str:
+            return "(" + ", ".join(_text(p, names) for p in f.coords) + ")"
+
         return {
             "mode": self.mode,
             "n": self.order,
@@ -73,12 +81,12 @@ class FdbReport:
                     "partition": str(s.partition),
                     "block_sizes": list(s.partition.block_sizes()),
                     "factors": [list(fac) for fac in s.factors],
-                    "map": str(s.result),
+                    "map": text(s.result),
                 }
                 for s in self.summands
             ],
-            "total": str(self.total),
-            "oracle": str(self.oracle),
+            "total": text(self.total),
+            "oracle": text(self.oracle),
             "equal": self.equal,
             "first_difference": self.first_difference,
         }

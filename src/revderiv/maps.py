@@ -5,6 +5,9 @@ A map's domain is a flat coordinate space carrying a block structure (an
 codomain is a plain dimension: block structure on outputs is recovered by
 composing with projections when needed.  Block indices in this module are
 1-based (the j-th factor of a product); flat coordinate indices are 0-based.
+Routing whole blocks (:func:`precompose_blocks`) re-indexes exponents; when
+it permutes blocks, each monomial is relabelled by one permutation.  A
+placement that names a block the target does not have is an ``IndexError``.
 """
 
 from __future__ import annotations
@@ -21,7 +24,9 @@ class ArityProfile:
     """Dimensions of the factors of a product domain.
 
     A block may be 0-dimensional (the terminal object).  Flat coordinate
-    indices run over ``range(total)`` in block order.
+    indices run over ``range(total)`` in block order.  The block offsets are
+    computed once, outside the fields, so equality, hashing and ``repr`` see
+    only ``blocks``.
     """
 
     blocks: tuple[int, ...]
@@ -31,10 +36,14 @@ class ArityProfile:
             raise ValueError("a profile needs at least one block")
         if any(d < 0 for d in self.blocks):
             raise ValueError(f"negative block dimension in {self.blocks}")
+        starts = [0]
+        for d in self.blocks:
+            starts.append(starts[-1] + d)
+        object.__setattr__(self, "_starts", tuple(starts))
 
     @property
     def total(self) -> int:
-        return sum(self.blocks)
+        return self._starts[-1]
 
     @property
     def block_count(self) -> int:
@@ -50,11 +59,11 @@ class ArityProfile:
 
     def block_start(self, j: int) -> int:
         self.check_block(j)
-        return sum(self.blocks[: j - 1])
+        return self._starts[j - 1]
 
     def block_range(self, j: int) -> range:
-        start = self.block_start(j)
-        return range(start, start + self.blocks[j - 1])
+        self.check_block(j)
+        return range(self._starts[j - 1], self._starts[j])
 
     def flat(self) -> "ArityProfile":
         return ArityProfile((self.total,))
@@ -185,18 +194,21 @@ def _routing(src: ArityProfile, target: ArityProfile,
              placement: Mapping[int, int]) -> list[int | None]:
     """For each flat coordinate of ``target``, its source coordinate in ``src``,
     or None where the target block has no entry in ``placement``."""
+    for t in placement:
+        if not 1 <= t <= target.block_count:
+            raise IndexError(f"placement key {t} names no block of {target}")
     sources: list[int | None] = []
-    for t in range(1, target.block_count + 1):
+    for t, d in enumerate(target.blocks, start=1):
         if t in placement:
             s = placement[t]
-            if src.block_dim(s) != target.block_dim(t):
+            span = src.block_range(s)
+            if len(span) != d:
                 raise ValueError(
-                    f"block {s} of {src} has dimension {src.block_dim(s)}, "
-                    f"target block {t} needs {target.block_dim(t)}"
+                    f"block {s} of {src} has dimension {len(span)}, target block {t} needs {d}"
                 )
-            sources.extend(src.block_range(s))
+            sources.extend(span)
         else:
-            sources.extend([None] * target.block_dim(t))
+            sources.extend([None] * d)
     return sources
 
 
@@ -226,7 +238,9 @@ def precompose_blocks(f: PolyMap, src: ArityProfile, placement: Mapping[int, int
     from source block placement[t], or set to zero when absent.
 
     Equal to ``compose(f, embed_blocks(src, f.domain, placement))``, but the
-    routing only rewrites exponents; no polynomial is multiplied.
+    routing only rewrites exponents; no polynomial is multiplied.  A placement
+    that permutes blocks of equal dimensions relabels each monomial by one
+    permutation (see :meth:`Polynomial.reindex`).
     """
     sources = _routing(src, f.domain, placement)
     return PolyMap(src, tuple(p.reindex(sources, src.total) for p in f.coords))

@@ -17,13 +17,21 @@ every coefficient were a ``Fraction``.
 Every operation in which like terms can meet streams its raw terms into one
 accumulator that merges them in one dict and sorts once, and
 :meth:`Polynomial.sum` adds any number of polynomials the same way.
+Substitution folds each one-term argument into the exponents and the
+coefficient of a term, so only arguments with several terms are multiplied;
+re-indexing by a permutation relabels each monomial and sorts once, with
+nothing to merge.  One printer body serves ``str`` and callers that print
+many polynomials together and share a table of monomial texts; it prints
+integers of any length, past the interpreter's int/str digit limit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from math import prod
+from operator import add, itemgetter
 from typing import Iterable, Mapping, Sequence
 
 
@@ -31,12 +39,17 @@ Monomial = tuple[int, ...]
 Coefficient = int | Fraction
 
 
+def _graded(term: tuple[Monomial, Coefficient]) -> tuple[int, Monomial]:
+    """The sort key of a term: its monomial's degree, then the monomial."""
+    return sum(term[0]), term[0]
+
+
 def _canonical_terms(coeffs: Mapping[Monomial, Coefficient]) -> tuple[tuple[Monomial, Coefficient], ...]:
     """Drop zero coefficients, store integral ones as ints and sort
     descending in (degree, monomial)."""
     items = [(m, c if type(c) is int or c.denominator != 1 else c.numerator)
              for m, c in coeffs.items() if c]
-    items.sort(key=lambda item: (sum(item[0]), item[0]), reverse=True)
+    items.sort(key=_graded, reverse=True)
     return tuple(items)
 
 
@@ -128,7 +141,7 @@ class Polynomial:
         if self.dim != other.dim:
             raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
         return _accumulate(self.dim, (
-            (tuple(a + b for a, b in zip(m1, m2)), c1 * c2)
+            (tuple(map(add, m1, m2)), c1 * c2)
             for m1, c1 in self.terms for m2, c2 in other.terms
         ))
 
@@ -169,7 +182,13 @@ class Polynomial:
                    Fraction(0))
 
     def substitute(self, args: Sequence["Polynomial"], dim: int | None = None) -> "Polynomial":
-        """Substitute ``args[i]`` for coordinate ``i``; all args share one space."""
+        """Substitute ``args[i]`` for coordinate ``i``; all args share one space.
+
+        A term that uses a zero argument vanishes before any power is built.
+        A one-term argument k*x^m adds k^e to the term's coefficient and e*m
+        to its exponents, with no product; only arguments with several terms
+        are raised to powers (each power built once) and multiplied.
+        """
         if len(args) != self.dim:
             raise ValueError(f"{len(args)} substitution arguments, expected {self.dim}")
         if args:
@@ -179,23 +198,37 @@ class Polynomial:
                     raise ValueError("substitution arguments live in different spaces")
         elif dim is None:
             raise ValueError("substituting into a 0-coordinate polynomial needs an explicit dim")
+        zeros = [i for i, p in enumerate(args) if not p.terms]
+        # per argument: (coefficient, nonzero exponents) when it has one term
+        ones = [(p.terms[0][1], [(j, a) for j, a in enumerate(p.terms[0][0]) if a])
+                if len(p.terms) == 1 else None for p in args]
         powers: dict[tuple[int, int], Polynomial] = {}
 
         def expanded():
-            # every term's expansion goes into the one accumulator; the
-            # coefficient scales the product of powers, which a term with
-            # no variable leaves empty
+            # every term's expansion goes into the one accumulator
             for m, c in self.terms:
-                term = None
+                if zeros and any(m[i] for i in zeros):
+                    continue
+                mono = [0] * dim
+                product = None
                 for i, e in enumerate(m):
-                    if e:
-                        if (i, e) not in powers:
-                            powers[i, e] = args[i] ** e
-                        term = powers[i, e] if term is None else term * powers[i, e]
-                if term is None:
-                    yield (0,) * dim, c
+                    if not e:
+                        continue
+                    one = ones[i]
+                    if one is not None:
+                        k, exps = one
+                        if k != 1:
+                            c = c * k ** e
+                        for j, a in exps:
+                            mono[j] += a * e
+                        continue
+                    if (i, e) not in powers:
+                        powers[i, e] = args[i] ** e
+                    product = powers[i, e] if product is None else product * powers[i, e]
+                if product is None:
+                    yield tuple(mono), c
                 else:
-                    yield from ((mono, c * k) for mono, k in term.terms)
+                    yield from ((tuple(map(add, mono, mk)), c * k) for mk, k in product.terms)
 
         return _accumulate(dim, expanded())
 
@@ -206,12 +239,25 @@ class Polynomial:
         Terms that use a zeroed coordinate vanish; coordinates routed from one
         source add their exponents.  Equal to :meth:`substitute` with the
         corresponding variables and zeros, without multiplying polynomials.
+        When ``sources`` is a permutation of ``range(dim)``, each monomial is
+        relabelled by the inverse permutation and the terms are sorted once:
+        distinct monomials stay distinct, so nothing merges and nothing vanishes.
         """
         if len(sources) != self.dim:
             raise ValueError(f"{len(sources)} routing sources, expected {self.dim}")
         for s in sources:
             if s is not None and not 0 <= s < dim:
                 raise IndexError(f"source coordinate {s} out of range for dimension {dim}")
+        if dim == self.dim and None not in sources and len(set(sources)) == dim:
+            if dim < 2:
+                return self  # the only permutation is the identity
+            inverse = [0] * dim
+            for i, s in enumerate(sources):
+                inverse[s] = i
+            relabel = itemgetter(*inverse)  # with two or more items, returns a tuple
+            terms = [(relabel(m), c) for m, c in self.terms]
+            terms.sort(key=_graded, reverse=True)
+            return Polynomial(dim, tuple(terms))
 
         def routed():
             for m, c in self.terms:
@@ -240,18 +286,33 @@ class Polynomial:
     # -- printing ---------------------------------------------------------
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        pieces: list[str] = []
-        for mono, coeff in self.terms:
-            # an int coefficient has these too, with denominator 1
-            num, den = coeff.numerator, coeff.denominator
+        return _text(self)
+
+
+def _text(p: Polynomial, names: dict[Monomial, str] | None = None) -> str:
+    """The canonical text of ``p``.  ``names``, when given, caches each
+    monomial's factor text, so polynomials printed together share it."""
+    if not p.terms:
+        return "0"
+    pieces: list[str] = []
+    for mono, coeff in p.terms:
+        # an int coefficient has these too, with denominator 1
+        num, den = coeff.numerator, coeff.denominator
+        try:
             body = str(abs(num)) if den == 1 else f"{abs(num)}/{den}"
+        except ValueError:
+            # past the interpreter's limit on int/str conversions: Decimal
+            # converts an int exactly and has no such limit
+            body = str(Decimal(abs(num))) if den == 1 else f"{Decimal(abs(num))}/{Decimal(den)}"
+        factors = None if names is None else names.get(mono)
+        if factors is None:
             factors = "*".join([f"x{i}" if e == 1 else f"x{i}^{e}"
                                 for i, e in enumerate(mono, 1) if e])
-            if factors:
-                body = factors if body == "1" else f"{body}*{factors}"
-            pieces.append(f" - {body}" if num < 0 else f" + {body}")
-        # the leading term drops its separator and keeps only a minus sign
-        text = "".join(pieces)
-        return text[3:] if text[1] == "+" else f"-{text[3:]}"
+            if names is not None:
+                names[mono] = factors
+        if factors:
+            body = factors if body == "1" else f"{body}*{factors}"
+        pieces.append(f" - {body}" if num < 0 else f" + {body}")
+    # the leading term drops its separator and keeps only a minus sign
+    text = "".join(pieces)
+    return text[3:] if text[1] == "+" else f"-{text[3:]}"

@@ -150,6 +150,18 @@ def test_report_json_shape():
     assert set(first) == {"partition", "block_sizes", "factors", "map"}
 
 
+@pytest.mark.parametrize("mode", ["forward", "reverse"])
+def test_report_json_maps_print_as_str(mode):
+    # to_json prints every map of a report with one shared monomial table
+    for f, g in corpus_pairs():
+        for n in range(4):
+            rep = fdb_report(f, g, n, mode)
+            payload = rep.to_json()
+            assert [s["map"] for s in payload["summands"]] == [str(s.result) for s in rep.summands]
+            assert payload["total"] == str(rep.total)
+            assert payload["oracle"] == str(rep.oracle)
+
+
 def test_first_difference_names_coordinate_and_monomial():
     same = parse_map("(x1, x2)")
     assert _first_difference(same, parse_map("(x1, x2)")) is None

@@ -1,5 +1,6 @@
 """Block-structured maps: products, composition, evaluation, reblocking."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -181,6 +182,30 @@ def test_precompose_blocks_matches_substitution_oracle(routing, seed):
                 routed = precompose_blocks(g, src, placement)
                 assert routed == compose(g, routing_map)
                 assert routed.is_zero()
+
+
+@pytest.mark.parametrize("blocks", [(2, 0, 1, 3), (1,), (1, 0)])
+def test_precompose_blocks_permutations_match_substitution_oracle(blocks):
+    # every permutation of the blocks, unequal and 0-dimensional ones included,
+    # relabels each monomial by one permutation of the coordinates
+    src = ArityProfile(blocks)
+    rng = random.Random(str(blocks))
+    for perm in itertools.permutations(range(1, len(blocks) + 1)):
+        target = ArityProfile(tuple(src.block_dim(s) for s in perm))
+        placement = {t: s for t, s in enumerate(perm, start=1)}
+        f = random_map(rng, target, 2, 3)
+        assert precompose_blocks(f, src, placement) == compose(f, embed_blocks(src, target, placement))
+
+
+def test_placement_keys_must_name_target_blocks():
+    f = PolyMap(ArityProfile((1, 1)), (Polynomial.variable(0, 2),))
+    src = ArityProfile((1, 1))
+    with pytest.raises(IndexError, match="placement key 5"):
+        precompose_blocks(f, src, {1: 2, 2: 1, 5: 1})
+    with pytest.raises(IndexError, match="placement key 9"):
+        embed_blocks(src, ArityProfile((1, 1)), {1: 2, 9: 1})
+    with pytest.raises(IndexError, match="placement key 0"):
+        embed_blocks(src, ArityProfile((1, 1)), {0: 1})
 
 
 def test_precompose_blocks_cancels_colliding_monomials():

@@ -1,11 +1,12 @@
 """Polynomial arithmetic against independent brute-force oracles."""
 
 import random
+import sys
 from fractions import Fraction
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 
 from revderiv.combinators import forward_derivative, reverse_derivative
 from revderiv.corpus import random_map
@@ -237,6 +238,26 @@ def test_canonical_printing():
     assert str(q) == "x1^2 + x1*x2 + x2^2 + x1"
 
 
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="this Python has no limit on int/str conversions")
+def test_printing_past_the_int_str_limit():
+    # the interpreter's default limit is 4,300 digits; the expected texts are
+    # spelled out, not converted from the long ints
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        big = "1" + "0" * 5000
+        assert str(Polynomial.constant(1, Fraction(10**5000))) == big
+        assert str(Polynomial.constant(1, Fraction(-10**5000))) == "-" + big
+        # a 5,000-digit denominator, in a term and alone
+        den = "1" + "0" * 4998 + "1"
+        p = P(2, {(1, 0): Fraction(-2, 10**4999 + 1), (0, 0): 1})
+        assert str(p) == f"-2/{den}*x1 + 1"
+        assert str(Polynomial.constant(1, Fraction(1, 10**4999 + 1))) == f"1/{den}"
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 # -- algebraic properties -----------------------------------------------------
 
 
@@ -300,9 +321,20 @@ def test_polynomials_are_immutable():
 
 
 @given(substitutions())
+# one-term and many-term arguments in one term: x1*x2^2 + 3 at (2*y1*y2, y1 + y2)
+@example((P(2, {(1, 2): 1, (0, 0): 3}), [P(2, {(1, 1): 2}), P(2, {(1, 0): 1, (0, 1): 1})]))
+# a one-term Fraction argument whose power makes the coefficient integral: 4*x1^2 at y1/2
+@example((P(1, {(2,): 4, (1,): 1}), [P(1, {(1,): Fraction(1, 2)})]))
+# a constant one-term argument next to a variable: x1^2*x2 - x1 at (3, y1)
+@example((P(2, {(2, 1): 1, (1, 0): -1}), [Polynomial.constant(1, 3), P(1, {(1,): 1})]))
+# a zero argument drops every term that uses it, even after a many-term power
+@example((P(2, {(2, 1): 1, (2, 0): 5, (0, 0): 1}),
+          [P(1, {(1,): 1, (0,): 1}), Polynomial.zero(1)]))
 def test_substitute_against_naive_expansion(case):
     p, args = case
-    assert p.substitute(args).as_dict() == naive_substitute(p, args, args[0].dim)
+    result = p.substitute(args)
+    assert result.as_dict() == naive_substitute(p, args, args[0].dim)
+    assert is_canonical(result) and has_normal_coefficients(result)
 
 
 @given(poly_lists())
@@ -351,6 +383,9 @@ def test_every_operation_returns_canonical_terms(ps, case, seed):
     # route coordinate i to the last coordinate, or drop it
     outputs.append(p.reindex([p.dim - 1 if i % 2 else None for i in range(p.dim)], p.dim))
     outputs.append(p.reindex([0] * p.dim, 1))
+    # a permutation: relabelled monomials, sorted once
+    outputs.append(p.reindex([(i + 1) % p.dim for i in range(p.dim)], p.dim))
+    outputs.append(p.reindex(list(reversed(range(p.dim))), p.dim))
     s, args = case
     outputs.append(s.substitute(args))
     for out in outputs:
