@@ -89,12 +89,12 @@ def cmd_derive(args: argparse.Namespace) -> int:
         raise _Refused("--order must be nonnegative")
     # each order above the first is one more pass of the kernel
     _check_cap("--order", args.order, DEFAULT_ORDER_CAP, "derive builds no higher tower")
+    if args.partial is not None and args.order != 1:
+        raise _Refused("--partial applies to first derivatives (--order 1)")
     try:
         if args.order == 0:
             result = f
         elif args.partial is not None:
-            if args.order != 1:
-                raise _Refused("--partial applies to first derivatives (--order 1)")
             if args.mode == "reverse":
                 result = partial_reverse(f, args.partial)
             else:
@@ -198,15 +198,17 @@ def cmd_fdb(args: argparse.Namespace) -> int:
         report = fdb_report(f, g, args.n, args.mode)
     except ValueError as err:
         raise _Refused(str(err)) from err
+    # the text report prints the JSON payload's strings: one monomial table for both
+    payload = report.to_json()
     if args.json:
-        print(json.dumps(report.to_json(), indent=2))
+        print(json.dumps(payload, indent=2))
     else:
         print(f"mode {report.mode}, n={report.order}: {len(report.summands)} summands")
-        for s in report.summands:
-            sizes = ",".join(str(k) for k in s.partition.block_sizes())
-            print(f"  {s.partition}: sizes [{sizes}], map {s.result}")
-        print(f"total:  {report.total}")
-        print(f"oracle: {report.oracle}")
+        for s in payload["summands"]:
+            sizes = ",".join(map(str, s["block_sizes"]))
+            print(f"  {s['partition']}: sizes [{sizes}], map {s['map']}")
+        print(f"total:  {payload['total']}")
+        print(f"oracle: {payload['oracle']}")
         if report.equal:
             print("verdict: equal")
         else:

@@ -11,6 +11,10 @@ one-block map, and the ``context`` suite checks the same body at block 2 of
 (C1, A, C2).  Linearity, covector linearity, tuples, the chain rule and mixed
 partials are shared this way, and the transpose of the forward derivative
 serves rd6, transpose-of-forward and dagger-partial.
+
+Every law has one exit and one failure constructor: ``_flag`` alone builds a
+``LawFailure``, and a law with several checks returns ``_first`` over a lazy
+generator of them, so nothing after the first failure runs or draws from the RNG.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .combinators import (
     _in_context,
@@ -98,18 +102,22 @@ class LawReport:
         }
 
 
-def _cmp(law: str, inputs: Sequence[PolyMap], lhs: PolyMap | Polynomial,
-         rhs: PolyMap | Polynomial) -> LawFailure | None:
-    if lhs == rhs:
+def _flag(law: str, inputs: Sequence[PolyMap], ok: bool, lhs: object,
+          rhs: object) -> LawFailure | None:
+    """None if ``ok``; otherwise the failure, with the inputs and both sides printed."""
+    if ok:
         return None
     return LawFailure(law, [str(m) for m in inputs], str(lhs), str(rhs))
 
 
-def _flag(law: str, inputs: Sequence[PolyMap], ok: bool, lhs: PolyMap | str,
-          rhs: str) -> LawFailure | None:
-    if ok:
-        return None
-    return LawFailure(law, [str(m) for m in inputs], str(lhs), rhs)
+def _cmp(law: str, inputs: Sequence[PolyMap], lhs: PolyMap | Polynomial,
+         rhs: PolyMap | Polynomial) -> LawFailure | None:
+    return _flag(law, inputs, lhs == rhs, lhs, rhs)
+
+
+def _first(checks: Iterable[LawFailure | None]) -> LawFailure | None:
+    """The first failure among the checks, running none after it."""
+    return next(filter(None, checks), None)
 
 
 # -- the seven axioms of the reverse combinator, at block j -------------------
@@ -214,20 +222,17 @@ def law_rd2(rng: random.Random, cfg: CorpusConfig) -> LawFailure | None:
 
 def law_rd3(rng: random.Random, cfg: CorpusConfig) -> LawFailure | None:
     """Identities differentiate to the covector; projections to injections."""
-    n = rng.randint(1, cfg.max_dim)
-    rid = reverse_derivative(identity(n))
-    expected = projection(ArityProfile((n, n)), 2)
-    bad = _cmp("rd3", [identity(n)], rid, expected)
-    if bad:
-        return bad
-    prof = random_profile(rng, cfg)
-    j = rng.randint(1, prof.block_count)
-    pj = projection(prof, j)
-    r = reverse_derivative(flatten(pj))
-    dj = prof.block_dim(j)
-    src = ArityProfile((prof.total, dj))
-    injection = embed_blocks(src, prof, {j: 2})
-    return _cmp("rd3", [pj], r, injection)
+    def checks():
+        n = rng.randint(1, cfg.max_dim)
+        rid = reverse_derivative(identity(n))
+        yield _cmp("rd3", [identity(n)], rid, projection(ArityProfile((n, n)), 2))
+        prof = random_profile(rng, cfg)
+        j = rng.randint(1, prof.block_count)
+        pj = projection(prof, j)
+        r = reverse_derivative(flatten(pj))
+        src = ArityProfile((prof.total, prof.block_dim(j)))
+        yield _cmp("rd3", [pj], r, embed_blocks(src, prof, {j: 2}))
+    return _first(checks())
 
 
 def law_rd4(rng: random.Random, cfg: CorpusConfig) -> LawFailure | None:
@@ -297,19 +302,15 @@ def law_ctx_rd2(rng: random.Random, cfg: CorpusConfig) -> LawFailure | None:
 def law_ctx_rd3(rng: random.Random, cfg: CorpusConfig) -> LawFailure | None:
     prof = random_profile(rng, cfg)
     nb = prof.block_count
-    for j in range(1, nb + 1):
-        pj = projection(prof, j)
-        for i in range(1, nb + 1):
-            r = partial_reverse(pj, i)
+
+    def checks():
+        for j in range(1, nb + 1):
+            pj = projection(prof, j)
             dom = prof.concat(prof.block_dim(j))
-            if i == j:
-                expected = projection(dom, nb + 1)
-            else:
-                expected = zero_map(dom, prof.block_dim(i))
-            bad = _cmp("ctx-rd3", [pj], r, expected)
-            if bad:
-                return bad
-    return None
+            for i in range(1, nb + 1):
+                expected = projection(dom, nb + 1) if i == j else zero_map(dom, prof.block_dim(i))
+                yield _cmp("ctx-rd3", [pj], partial_reverse(pj, i), expected)
+    return _first(checks())
 
 
 def law_ctx_rd4(rng: random.Random, cfg: CorpusConfig) -> LawFailure | None:
@@ -409,7 +410,7 @@ def law_dlinear_implies_klinear(rng: random.Random, cfg: CorpusConfig) -> LawFai
     j = rng.randint(1, prof.block_count)
     f = random_dlinear_map(rng, prof, j, rng.randint(1, cfg.max_dim), cfg)
     ok = is_dlinear(f, j) and is_klinear_in_block(f, j)
-    return _flag("dlinear-implies-klinear", [f], ok, str(f), f"k-linear in block {j}")
+    return _flag("dlinear-implies-klinear", [f], ok, f, f"k-linear in block {j}")
 
 
 # -- higher-order laws --------------------------------------------------------
@@ -444,65 +445,56 @@ def law_tower_bridge(rng: random.Random, cfg: CorpusConfig) -> LawFailure | None
     the order-(n+1) reverse tower once the covector is moved into place."""
     f = random_single_block_map(rng, cfg)
     a, m = f.domain.total, f.codomain_dim
-    for n in range(1, cfg.max_order + 1):
-        raw = partial_reverse(forward_tower(f, n), 1)            # (a,)*(n+1) + (m,) -> a
-        src = ArityProfile((a, m) + (a,) * n)
-        placement = {1: 1, n + 2: 2}
-        placement.update({t: t + 1 for t in range(2, n + 2)})
-        lhs = precompose_blocks(raw, src, placement)
-        bad = _cmp("tower-bridge", [f], lhs, reverse_tower(f, n + 1))
-        if bad:
-            return bad
-    return None
+
+    def checks():
+        for n in range(1, cfg.max_order + 1):
+            raw = partial_reverse(forward_tower(f, n), 1)        # (a,)*(n+1) + (m,) -> a
+            src = ArityProfile((a, m) + (a,) * n)
+            placement = {1: 1, n + 2: 2}
+            placement.update({t: t + 1 for t in range(2, n + 2)})
+            lhs = precompose_blocks(raw, src, placement)
+            yield _cmp("tower-bridge", [f], lhs, reverse_tower(f, n + 1))
+    return _first(checks())
 
 
 def law_dagger_bridge(rng: random.Random, cfg: CorpusConfig) -> LawFailure | None:
     f = random_single_block_map(rng, cfg)
-    for order in range(1, cfg.max_order + 2):
-        lhs = dagger(forward_tower(f, order), 2)
-        bad = _cmp("dagger-bridge", [f], lhs, reverse_tower(f, order))
-        if bad:
-            return bad
-    return None
+    return _first(_cmp("dagger-bridge", [f], dagger(forward_tower(f, order), 2),
+                       reverse_tower(f, order))
+                  for order in range(1, cfg.max_order + 2))
 
 
 def law_tower_symmetry(rng: random.Random, cfg: CorpusConfig) -> LawFailure | None:
     f = random_single_block_map(rng, cfg)
-    for order in range(1, min(cfg.max_order, 3) + 1):
-        t = forward_tower(f, order)
-        src = t.domain
-        nb = src.block_count
-        for p in range(2, nb + 1):
-            for q in range(p + 1, nb + 1):
-                placement = _keep(nb)
-                placement[p], placement[q] = q, p
-                swapped = precompose_blocks(t, src, placement)
-                bad = _cmp("tower-symmetry", [f], swapped, t)
-                if bad:
-                    return bad
-    return None
+
+    def checks():
+        for order in range(1, min(cfg.max_order, 3) + 1):
+            t = forward_tower(f, order)
+            nb = t.domain.block_count
+            for p in range(2, nb + 1):
+                for q in range(p + 1, nb + 1):
+                    placement = _keep(nb)
+                    placement[p], placement[q] = q, p
+                    yield _cmp("tower-symmetry", [f], precompose_blocks(t, t.domain, placement), t)
+    return _first(checks())
 
 
 def law_tower_dlinear(rng: random.Random, cfg: CorpusConfig) -> LawFailure | None:
     f = random_single_block_map(rng, cfg)
-    for order in range(1, min(cfg.max_order, 3) + 1):
-        t = forward_tower(f, order)
-        for j in range(2, t.domain.block_count + 1):
-            bad = _flag("tower-dlinear", [f], is_dlinear(t, j), t, f"D-linear in block {j}")
-            if bad:
-                return bad
-    return None
+
+    def checks():
+        for order in range(1, min(cfg.max_order, 3) + 1):
+            t = forward_tower(f, order)
+            for j in range(2, t.domain.block_count + 1):
+                yield _flag("tower-dlinear", [f], is_dlinear(t, j), t, f"D-linear in block {j}")
+    return _first(checks())
 
 
 def law_tower_klinear_covector(rng: random.Random, cfg: CorpusConfig) -> LawFailure | None:
     f = random_single_block_map(rng, cfg)
-    for order in range(1, cfg.max_order + 2):
-        t = reverse_tower(f, order)
-        ok = is_klinear_in_block(t, 2)
-        bad = _flag("tower-klinear-covector", [f], ok, t, "k-linear in block 2")
-        if bad:
-            return bad
-    return None
+    towers = (reverse_tower(f, order) for order in range(1, cfg.max_order + 2))
+    return _first(_flag("tower-klinear-covector", [f], is_klinear_in_block(t, 2), t,
+                        "k-linear in block 2") for t in towers)
 
 
 def law_degree_bound(rng: random.Random, cfg: CorpusConfig) -> LawFailure | None:
@@ -520,14 +512,14 @@ def _fdb(mode: str, rng: random.Random, cfg: CorpusConfig) -> LawFailure | None:
     """The partition sum has Bell(n+1) summands and equals the iterated
     oracle, for every order offset n up to the configured order."""
     f, g = random_composable_pair(rng, cfg)
-    for n in range(cfg.max_order + 1):
-        rep = fdb_report(f, g, n, mode)
-        count, bell = len(rep.summands), BELL[n + 1]
-        bad = (_flag(f"fdb-{mode}-count", [f, g], count == bell, str(count), str(bell))
-               or _cmp(f"fdb-{mode}", [f, g], rep.total, rep.oracle))
-        if bad:
-            return bad
-    return None
+
+    def checks():
+        for n in range(cfg.max_order + 1):
+            rep = fdb_report(f, g, n, mode)
+            count, bell = len(rep.summands), BELL[n + 1]
+            yield _flag(f"fdb-{mode}-count", [f, g], count == bell, count, bell)
+            yield _flag(f"fdb-{mode}", [f, g], rep.equal, rep.total, rep.oracle)
+    return _first(checks())
 
 
 def law_fdb_forward(rng: random.Random, cfg: CorpusConfig) -> LawFailure | None:
@@ -550,14 +542,14 @@ def law_fdb_reverse_structure(rng: random.Random, cfg: CorpusConfig) -> LawFailu
     f, g = random_composable_pair(rng, cfg)
     n = rng.randint(0, cfg.max_order)
     rep = fdb_report(f, g, n, "reverse")
-    for s in rep.summands:
-        for kind, which, _ in s.factors:
-            if which == "g":
-                bad = _flag("fdb-reverse-structure", [f, g], kind == "reverse",
-                            f"{kind} factor on g in {s.partition}", "reverse factors only on g")
-                if bad:
-                    return bad
-    return None
+
+    def checks():
+        for s in rep.summands:
+            for kind, which, _ in s.factors:
+                if which == "g":
+                    yield _flag("fdb-reverse-structure", [f, g], kind == "reverse",
+                                f"{kind} factor on g in {s.partition}", "reverse factors only on g")
+    return _first(checks())
 
 
 SuiteLaw = tuple[str, Callable[[random.Random, CorpusConfig], LawFailure | None]]

@@ -57,10 +57,6 @@ class ArityProfile:
         self.check_block(j)
         return self.blocks[j - 1]
 
-    def block_start(self, j: int) -> int:
-        self.check_block(j)
-        return self._starts[j - 1]
-
     def block_range(self, j: int) -> range:
         self.check_block(j)
         return range(self._starts[j - 1], self._starts[j])

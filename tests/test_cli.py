@@ -419,6 +419,8 @@ REFUSALS = [
      "error: --order 2001 exceeds the cap 2000; derive builds no higher tower\n"),
     (["derive", "--map", "(x1*x2)", "--blocks", "1,1", "--order", "2", "--partial", "1"], {},
      "error: --partial applies to first derivatives (--order 1)\n"),
+    (["derive", "--map", "(x1*x2)", "--blocks", "1,1", "--order", "0", "--partial", "5"], {},
+     "error: --partial applies to first derivatives (--order 1)\n"),
     (["derive", "--map", "(x1*x2)", "--blocks", "1,1"], {},
      "error: total derivatives need a single-block domain; use --partial J or declare one block\n"),
     (["derive", "--map", "(x1)", "--partial", "2"], {},

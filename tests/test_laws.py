@@ -106,7 +106,10 @@ def test_fdb_failures_carry_the_mode_in_their_id(monkeypatch, mode):
 
 def test_every_law_reports_under_its_own_id(monkeypatch):
     # every comparison fails, so each law reports the id it passes along
+    calls = []
+
     def fail(law, *_):
+        calls.append(law)
         return LawFailure(law, [], "", "")
 
     monkeypatch.setattr(laws, "_cmp", fail)
@@ -115,7 +118,10 @@ def test_every_law_reports_under_its_own_id(monkeypatch):
     failed = set()
     for suite, entries in LAWS.items():
         for law_id, law in entries:
+            calls.clear()
             failure = law(random.Random(f"0/{law_id}"), cfg)
+            # no check runs after the first failure
+            assert len(calls) == 1, (suite, law_id, calls)
             if failure is not None:
                 assert failure.law in (law_id, f"{law_id}-count"), (suite, law_id)
                 failed.add(law_id)
