@@ -24,7 +24,14 @@ real substitution: in forward mode a shape is the multiset of block sizes, in
 reverse mode the size of 1's block together with the multiset of the other
 sizes.  Every other summand relabels its shape's by one permutation of the
 coordinates, which rewrites exponents only (Constantine & Savits, Trans. AMS
-348(2), 1996; Hardy, Electron. J. Combin. 13, 2006).  A report's JSON prints
+348(2), 1996; Hardy, Electron. J. Combin. 13, 2006).
+
+The partitions, their shapes, their factors and their relabellings sigma
+depend on n and the mode alone; that plan is computed once and kept for
+small n.  A report builds f at the base point and each block's forward factor
+of f once for all its shape representatives, and relabels every other
+summand by one flat coordinate permutation read off sigma and the domain's
+block offsets, with one ``itemgetter`` per coordinate.  A report's JSON prints
 all its maps with one shared table of monomial texts, since they share a
 domain and most monomials recur among them.
 """
@@ -104,12 +111,23 @@ def _check_composable(f: PolyMap, g: PolyMap, n: int) -> None:
         raise ValueError("derivative order offset n must be nonnegative")
 
 
-def _forward_factor(f: PolyMap, dom: ArityProfile, block: tuple[int, ...]) -> PolyMap:
-    """The order-|block| forward tower of f at domain block 1, fed with the
-    vector arguments a_s, which live in domain blocks s+1."""
-    placement = {1: 1}
-    placement.update({t: s + 1 for t, s in enumerate(block, start=2)})
-    return precompose_blocks(forward_tower(f, len(block)), dom, placement)
+class _Inner:
+    """The pieces of f that the summands of one report share: f at the base
+    point, and, built on first use, each block's forward factor: the
+    order-|block| forward tower of f at domain block 1, fed with the vector
+    arguments a_s, which live in domain blocks s+1."""
+
+    def __init__(self, f: PolyMap, dom: ArityProfile) -> None:
+        self.f, self.dom = f, dom
+        self.base = precompose_blocks(f, dom, {1: 1})
+        self._by_block: dict[tuple[int, ...], PolyMap] = {}
+
+    def factor(self, block: tuple[int, ...]) -> PolyMap:
+        if block not in self._by_block:
+            placement = {1: 1} | {t: s + 1 for t, s in enumerate(block, start=2)}
+            self._by_block[block] = precompose_blocks(
+                forward_tower(self.f, len(block)), self.dom, placement)
+        return self._by_block[block]
 
 
 def _factors(part: SetPartition, mode: str) -> tuple[Factor, ...]:
@@ -123,24 +141,23 @@ def _factors(part: SetPartition, mode: str) -> tuple[Factor, ...]:
     return tuple(head + [("forward", "f", size) for size in sizes])
 
 
-def _forward_summand(f: PolyMap, g: PolyMap, dom: ArityProfile, part: SetPartition) -> FdbSummand:
-    base = precompose_blocks(f, dom, {1: 1})
-    inner = [_forward_factor(f, dom, block) for block in part.blocks]
-    result = compose(forward_tower(g, len(part.blocks)), pair([base] + inner))
+def _forward_summand(g: PolyMap, inner: _Inner, part: SetPartition) -> FdbSummand:
+    vs = [inner.factor(block) for block in part.blocks]
+    result = compose(forward_tower(g, len(part.blocks)), pair([inner.base] + vs))
     return FdbSummand(part, _factors(part, "forward"), result)
 
 
-def _reverse_summand(f: PolyMap, g: PolyMap, dom: ArityProfile, part: SetPartition) -> FdbSummand:
+def _reverse_summand(g: PolyMap, inner: _Inner, part: SetPartition) -> FdbSummand:
     first, rest = part.blocks[0], part.blocks[1:]
     if first[0] != 1:
         raise AssertionError("canonical partitions keep 1 in the first block")
-    base = precompose_blocks(f, dom, {1: 1})
+    dom = inner.dom
     # inner forward factors of f for the blocks not containing 1;
     # vector argument a_s lives in domain block s+1 (block 2 is the covector)
-    vs = [_forward_factor(f, dom, block) for block in rest]
-    w = compose(reverse_tower(g, len(part.blocks)), pair([base, projection(dom, 2)] + vs))
+    vs = [inner.factor(block) for block in rest]
+    w = compose(reverse_tower(g, len(part.blocks)), pair([inner.base, projection(dom, 2)] + vs))
     outer_args = [projection(dom, 1), w] + [projection(dom, s + 1) for s in first[1:]]
-    result = compose(reverse_tower(f, len(first)), pair(outer_args))
+    result = compose(reverse_tower(inner.f, len(first)), pair(outer_args))
     return FdbSummand(part, _factors(part, "reverse"), result)
 
 
@@ -153,34 +170,74 @@ def _representative(shape: tuple[int, ...]) -> SetPartition:
     return SetPartition(tuple(blocks))
 
 
-def _summands(f: PolyMap, g: PolyMap, dom: ArityProfile, n: int,
-              mode: str) -> tuple[FdbSummand, ...]:
-    """Every partition's summand, with one real substitution per shape.
+_PLANS: dict[tuple[int, str], tuple] = {}
+_PLAN_MAX_N = 4  # kept plans have at most Bell(5) = 52 steps
+
+
+def _plan(n: int, mode: str) -> tuple:
+    """What the summands of order offset n depend on apart from the maps: for
+    each partition of {1, ..., n+1} in canonical order, the partition, its
+    factors, its shape, and sigma, or None for its shape's representative.
 
     A partition's blocks, put in its shape's order (by size, largest first,
     then by minimum; in reverse mode the block of 1 stays first), list the
     labels sigma(1), ..., sigma(n+1) that its shape representative's labels
-    1, ..., n+1 map to.  Its summand is the representative's with argument
-    block t+1 (label t) taken from domain block sigma(t)+1.
+    1, ..., n+1 map to.  Plans up to ``_PLAN_MAX_N`` are kept; a larger one
+    lives for its call only.
     """
-    build = _forward_summand if mode == "forward" else _reverse_summand
+    plan = _PLANS.get((n, mode))
+    if plan is not None:
+        return plan
     fixed = 0 if mode == "forward" else 1
-    reps: dict[tuple[int, ...], FdbSummand] = {}
-    out = []
+    identity = tuple(range(1, n + 2))
+    steps = []
     for part in enumerate_partitions(n + 1):
         ordered = part.blocks[:fixed] + tuple(
             sorted(part.blocks[fixed:], key=lambda block: (-len(block), block[0])))
-        shape = tuple(len(block) for block in ordered)
+        sigma = tuple(label for block in ordered for label in block)
+        steps.append((part, _factors(part, mode), tuple(len(block) for block in ordered),
+                      None if sigma == identity else sigma))
+    plan = tuple(steps)
+    if n <= _PLAN_MAX_N:
+        _PLANS[(n, mode)] = plan
+    return plan
+
+
+def _permutation(blocks: list[range], sigma: tuple[int, ...]) -> list[int]:
+    """The flat coordinate permutation that relabels a summand by sigma, from
+    the coordinate ranges of the domain's blocks.
+
+    Label t lives in domain block t+1, after the base point's block 1.  The
+    relabelled summand takes its argument block t+1 from domain block
+    sigma(t)+1, so coordinate j of domain block s+1 reads coordinate j of
+    block sigma^-1(s)+1 of the representative's summand.
+    """
+    label = [0] * len(blocks)
+    for t, s in enumerate(sigma, start=1):
+        label[s] = t
+    return [i for t in label for i in blocks[t]]
+
+
+def _summands(f: PolyMap, g: PolyMap, dom: ArityProfile, n: int,
+              mode: str) -> tuple[FdbSummand, ...]:
+    """Every partition's summand, with one real substitution per shape; every
+    other summand is its shape representative's relabelled by
+    :func:`_permutation`."""
+    build = _forward_summand if mode == "forward" else _reverse_summand
+    inner = _Inner(f, dom)
+    blocks = [dom.block_range(b) for b in range(1, dom.block_count + 1)]
+    reps: dict[tuple[int, ...], FdbSummand] = {}
+    out = []
+    for part, factors, shape, sigma in _plan(n, mode):
         if shape not in reps:
-            reps[shape] = build(f, g, dom, _representative(shape))
+            reps[shape] = build(g, inner, _representative(shape))
         rep = reps[shape]
-        if rep.partition == part:
+        if sigma is None:
             out.append(rep)
             continue
-        sigma = [label for block in ordered for label in block]
-        placement = {1: 1} | {t + 1: s + 1 for t, s in enumerate(sigma, start=1)}
-        result = precompose_blocks(rep.result, dom, placement)
-        out.append(FdbSummand(part, _factors(part, mode), result))
+        order = _permutation(blocks, sigma)
+        result = PolyMap(dom, tuple(p.permute(order) for p in rep.result.coords))
+        out.append(FdbSummand(part, factors, result))
     return tuple(out)
 
 

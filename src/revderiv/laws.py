@@ -63,7 +63,18 @@ from .maps import (
 from .poly import Coefficient, Polynomial
 from .towers import forward_tower, reverse_tower
 
-BELL = {1: 1, 2: 2, 3: 5, 4: 15, 5: 52}
+
+def bell(n: int) -> int:
+    """The number of set partitions of {1, ..., n}, by the Bell triangle: each
+    row starts with the last entry of the row above, and each further entry
+    adds the entry above it.  Independent of :mod:`revderiv.partitions`."""
+    row = [1]
+    for _ in range(n):
+        nxt = [row[-1]]
+        for x in row:
+            nxt.append(nxt[-1] + x)
+        row = nxt
+    return row[0]
 
 
 @dataclass
@@ -516,8 +527,8 @@ def _fdb(mode: str, rng: random.Random, cfg: CorpusConfig) -> LawFailure | None:
     def checks():
         for n in range(cfg.max_order + 1):
             rep = fdb_report(f, g, n, mode)
-            count, bell = len(rep.summands), BELL[n + 1]
-            yield _flag(f"fdb-{mode}-count", [f, g], count == bell, count, bell)
+            count, want = len(rep.summands), bell(n + 1)
+            yield _flag(f"fdb-{mode}-count", [f, g], count == want, count, want)
             yield _flag(f"fdb-{mode}", [f, g], rep.equal, rep.total, rep.oracle)
     return _first(checks())
 

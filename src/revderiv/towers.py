@@ -9,8 +9,12 @@ the partial derivative in the first argument block:
 
 Order 0 is the map itself by convention.  One loop builds both towers: the
 total derivative, then the first-block partial derivative once per further
-order, with no recursion, so any order works.  The caches hold whole
-``(f, order)`` results; a call does not look up the orders below it.
+order, with no recursion, so any order works.  Each tower's cache holds the
+orders that were asked for, grouped by map.  A call for an order that is not
+cached climbs from the highest cached order of the same map below it, so
+asking for orders 1, ..., n in turn takes n kernel steps, not n(n+1)/2.  The
+orders climbed through are not kept, which keeps the memory of one deep call
+that of its result.
 
 The two towers are exchanged by the linear transpose in the covector/second
 slot; the ``stable`` law suite checks that exchange (the transpose bridge)
@@ -19,34 +23,64 @@ and the first-order compatibility it rests on (the stable rule).
 
 from __future__ import annotations
 
-from functools import lru_cache
-from typing import Callable
+from collections import namedtuple
 
 from .combinators import forward_derivative, partial_forward, partial_reverse, reverse_derivative
 from .maps import PolyMap
 
+CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
 
-def _tower(f: PolyMap, order: int, first: Callable[[PolyMap], PolyMap],
-           step: Callable[[PolyMap, int], PolyMap]) -> PolyMap:
-    """Order 0 is f; order 1 is ``first(f)``; each further order applies
-    ``step`` to the one below it in its first block."""
-    if order < 0:
-        raise ValueError("derivative order must be nonnegative")
+
+def _climb(f: PolyMap, t: PolyMap, below: int, order: int, reverse: bool) -> PolyMap:
+    """The order-``order`` tower of f from ``t``, its order ``below``.  The
+    kernels are read from the module's globals at each call, so a wrapper
+    installed there sees every step."""
     if order == 0:
         return f
-    t = first(f)
-    for _ in range(order - 1):
+    if below == 0:
+        t = reverse_derivative(f) if reverse else forward_derivative(f)
+        below = 1
+    step = partial_reverse if reverse else partial_forward
+    for _ in range(order - below):
         t = step(t, 1)
     return t
 
 
-@lru_cache(maxsize=4096)
-def reverse_tower(f: PolyMap, order: int) -> PolyMap:
-    """Iterated first-block partial reverse derivative (order 0 = f)."""
-    return _tower(f, order, reverse_derivative, partial_reverse)
+class _TowerCache:
+    """A tower as a function of ``(f, order)``, cached like
+    :func:`functools.lru_cache` with ``cache_info()`` and ``cache_clear()``.
+
+    Every call is one lookup, a hit or a miss.  At most ``maxsize`` orders
+    are kept; past that, the map cached first loses all its orders.
+    """
+
+    def __init__(self, reverse: bool, doc: str, maxsize: int = 4096) -> None:
+        self.reverse, self.maxsize, self.__doc__ = reverse, maxsize, doc
+        self.cache_clear()
+
+    def cache_clear(self) -> None:
+        self._orders: dict[PolyMap, dict[int, PolyMap]] = {}
+        self._hits = self._misses = self._size = 0
+
+    def cache_info(self) -> CacheInfo:
+        return CacheInfo(self._hits, self._misses, self.maxsize, self._size)
+
+    def __call__(self, f: PolyMap, order: int) -> PolyMap:
+        if order < 0:
+            raise ValueError("derivative order must be nonnegative")
+        orders = self._orders.setdefault(f, {})  # the one hash of f
+        if order in orders:
+            self._hits += 1
+            return orders[order]
+        self._misses += 1
+        below = max((k for k in orders if k < order), default=0)
+        start = orders[below] if below else f
+        t = orders[order] = _climb(f, start, below, order, self.reverse)
+        self._size += 1
+        while self._size > self.maxsize:
+            self._size -= len(self._orders.pop(next(iter(self._orders))))
+        return t
 
 
-@lru_cache(maxsize=4096)
-def forward_tower(f: PolyMap, order: int) -> PolyMap:
-    """Iterated first-block partial forward derivative (order 0 = f)."""
-    return _tower(f, order, forward_derivative, partial_forward)
+reverse_tower = _TowerCache(True, "Iterated first-block partial reverse derivative (order 0 = f).")
+forward_tower = _TowerCache(False, "Iterated first-block partial forward derivative (order 0 = f).")

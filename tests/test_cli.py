@@ -334,8 +334,8 @@ def test_verify_rejects_non_integer_seed_env_var(capsys, monkeypatch):
 
 
 def test_verify_max_order_cap_applies_to_fdb_suites(capsys):
-    # the fdb laws count Bell(max_order + 1) summands, tabulated up to the cap
-    assert max(laws.BELL) == cli.DEFAULT_FDB_CAP + 1
+    # the cap bounds the fdb laws' cost; their Bell counts are not tabulated, so the
+    # library runs them past it (tests/test_laws.py)
     for suite in ("fdb-forward", "fdb-reverse", "all"):
         code, out, err = run_cli(capsys, "verify", "--suite", suite, "--max-order", "5",
                                  "--cases", "1")

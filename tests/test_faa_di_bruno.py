@@ -9,6 +9,7 @@ from revderiv import faa_di_bruno
 from revderiv.corpus import CorpusConfig, random_composable_pair, random_map
 from revderiv.faa_di_bruno import (
     _first_difference,
+    _Inner,
     _forward_summand,
     _reverse_summand,
     fdb_report,
@@ -204,7 +205,7 @@ def direct_summands(f, g, n, mode):
         dom, build = ArityProfile((a,) * (n + 2)), _forward_summand
     else:
         dom, build = ArityProfile((a, g.codomain_dim) + (a,) * n), _reverse_summand
-    return [build(f, g, dom, part) for part in enumerate_partitions(n + 1)]
+    return [build(g, _Inner(f, dom), part) for part in enumerate_partitions(n + 1)]
 
 
 def summand_mismatches(mode):
@@ -256,14 +257,25 @@ def test_summand_oracle_catches_a_same_shape_swap(mode, monkeypatch):
 
 @MODES
 def test_summand_oracle_catches_the_inverse_placement(mode, monkeypatch):
-    route = faa_di_bruno.precompose_blocks
+    permutation = faa_di_bruno._permutation
 
-    def inverted(f, src, placement):
-        # invert every placement that permutes all of the domain's blocks
-        blocks = list(range(1, src.block_count + 1))
-        if f.domain == src and sorted(placement) == sorted(placement.values()) == blocks:
-            placement = {s: t for t, s in placement.items()}
-        return route(f, src, placement)
+    def inverted(blocks, sigma):
+        # relabel by sigma^-1 instead of sigma
+        inverse = [0] * len(sigma)
+        for t, s in enumerate(sigma, start=1):
+            inverse[s - 1] = t
+        return permutation(blocks, tuple(inverse))
 
-    monkeypatch.setattr(faa_di_bruno, "precompose_blocks", inverted)
+    monkeypatch.setattr(faa_di_bruno, "_permutation", inverted)
     assert summand_mismatches(mode) > 0
+
+
+@MODES
+def test_only_small_partition_plans_are_kept(mode):
+    f, g = corpus_pairs()[0]
+    top = faa_di_bruno._PLAN_MAX_N
+    for n in (top, top + 1):
+        rep = fdb_report(f, g, n, mode)
+        assert rep.equal and len(rep.summands) == len(enumerate_partitions(n + 1))
+    assert (top, mode) in faa_di_bruno._PLANS
+    assert (top + 1, mode) not in faa_di_bruno._PLANS

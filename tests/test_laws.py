@@ -28,6 +28,18 @@ def test_alternate_seed_and_shape_limits():
         assert run_suite(name, seed=12345, cases=3, config=cfg).ok
 
 
+def test_bell_numbers_from_the_triangle():
+    assert [laws.bell(n) for n in range(12)] == [
+        1, 1, 2, 5, 15, 52, 203, 877, 4140, 21147, 115975, 678570]
+
+
+@pytest.mark.parametrize("suite", ["fdb-forward", "fdb-reverse"])
+def test_fdb_suites_count_summands_past_the_cli_cap(suite):
+    # the summand count check needs Bell(6) at max_order 5
+    report = run_suite(suite, cases=1, config=CorpusConfig(max_order=5))
+    assert report.ok, [f.law for f in report.failures]
+
+
 def test_unknown_suite_rejected():
     with pytest.raises(ValueError, match="unknown suite"):
         run_suite("nonsense")

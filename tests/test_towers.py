@@ -2,10 +2,12 @@
 
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from revderiv import towers
 from revderiv.combinators import dagger, partial_reverse, reverse_derivative
 from revderiv.corpus import CorpusConfig, random_context_map, random_single_block_map
 from revderiv.laws import _stable_rule
@@ -40,6 +42,39 @@ def test_reverse_tower_of_cube():
 def test_tower_deeper_than_the_recursion_limit(tower):
     (poly,) = tower(parse_map("(x1^600)"), 600).coords
     assert [c for _, c in poly.terms] == [math.factorial(600)]
+
+
+@pytest.mark.parametrize("tower, first, step", [
+    (reverse_tower, "reverse_derivative", "partial_reverse"),
+    (forward_tower, "forward_derivative", "partial_forward"),
+])
+def test_tower_climbs_from_the_highest_cached_order_below(tower, first, step, monkeypatch):
+    kernels = {name: getattr(towers, name) for name in (first, step)}
+    calls = Counter()
+
+    def counted(name):
+        def call(*args):
+            calls[name] += 1
+            return kernels[name](*args)
+        return call
+
+    for name in kernels:
+        monkeypatch.setattr(towers, name, counted(name))
+    f = parse_map("(x1^6*x2 - x2^2, x1*x2^5 + 3*x1)", blocks=(2,))
+    tower.cache_clear()
+    seen = []
+    for order in (4, 2, 5, 5):
+        before = calls.copy()
+        got = tower(f, order)
+        seen.append((calls[first] - before[first], calls[step] - before[step]))
+        want = kernels[first](f)
+        for _ in range(order - 1):
+            want = kernels[step](want, 1)
+        assert got == want and not got.is_zero()
+    # 4 from scratch; 2 from scratch, since only 4 is cached; 5 is one step above 4
+    assert seen == [(1, 3), (1, 1), (0, 1), (0, 0)]
+    info = tower.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (1, 3, 3)
 
 
 def test_reverse_tower_order_zero_is_f():
