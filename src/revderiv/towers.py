@@ -54,8 +54,9 @@ class _TowerCache:
     are kept; past that, the map cached first loses all its orders.
     """
 
-    def __init__(self, reverse: bool, doc: str, maxsize: int = 4096) -> None:
-        self.reverse, self.maxsize, self.__doc__ = reverse, maxsize, doc
+    def __init__(self, name: str, reverse: bool, doc: str, maxsize: int = 4096) -> None:
+        self.__name__, self.__doc__ = name, doc
+        self.reverse, self.maxsize = reverse, maxsize
         self.cache_clear()
 
     def cache_clear(self) -> None:
@@ -82,5 +83,7 @@ class _TowerCache:
         return t
 
 
-reverse_tower = _TowerCache(True, "Iterated first-block partial reverse derivative (order 0 = f).")
-forward_tower = _TowerCache(False, "Iterated first-block partial forward derivative (order 0 = f).")
+reverse_tower = _TowerCache("reverse_tower", True,
+                            "Iterated first-block partial reverse derivative (order 0 = f).")
+forward_tower = _TowerCache("forward_tower", False,
+                            "Iterated first-block partial forward derivative (order 0 = f).")
