@@ -27,8 +27,8 @@ coordinates, which rewrites exponents only (Constantine & Savits, Trans. AMS
 348(2), 1996; Hardy, Electron. J. Combin. 13, 2006).
 
 The partitions, their shapes, their factors and their relabellings sigma
-depend on n and the mode alone; that plan is computed once and kept for
-small n.  A report builds f at the base point and each block's forward factor
+depend on n and the mode alone; a report reads them off one pass over the
+partitions.  It builds f at the base point and each block's forward factor
 of f once for all its shape representatives, and relabels every other
 summand by one flat coordinate permutation read off sigma and the domain's
 block offsets, with one ``itemgetter`` per coordinate.  A report's JSON prints
@@ -38,6 +38,7 @@ domain and most monomials recur among them.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .maps import ArityProfile, PolyMap, compose, pair, precompose_blocks, projection, sum_maps
@@ -170,11 +171,7 @@ def _representative(shape: tuple[int, ...]) -> SetPartition:
     return SetPartition(tuple(blocks))
 
 
-_PLANS: dict[tuple[int, str], tuple] = {}
-_PLAN_MAX_N = 4  # kept plans have at most Bell(5) = 52 steps
-
-
-def _plan(n: int, mode: str) -> tuple:
+def _plan(n: int, mode: str) -> Iterator[tuple]:
     """What the summands of order offset n depend on apart from the maps: for
     each partition of {1, ..., n+1} in canonical order, the partition, its
     factors, its shape, and sigma, or None for its shape's representative.
@@ -182,25 +179,17 @@ def _plan(n: int, mode: str) -> tuple:
     A partition's blocks, put in its shape's order (by size, largest first,
     then by minimum; in reverse mode the block of 1 stays first), list the
     labels sigma(1), ..., sigma(n+1) that its shape representative's labels
-    1, ..., n+1 map to.  Plans up to ``_PLAN_MAX_N`` are kept; a larger one
-    lives for its call only.
+    1, ..., n+1 map to.
     """
-    plan = _PLANS.get((n, mode))
-    if plan is not None:
-        return plan
     fixed = 0 if mode == "forward" else 1
     identity = tuple(range(1, n + 2))
-    steps = []
     for part in enumerate_partitions(n + 1):
-        ordered = part.blocks[:fixed] + tuple(
-            sorted(part.blocks[fixed:], key=lambda block: (-len(block), block[0])))
+        # blocks come ordered by minimum, and a stable sort keeps that order
+        # among blocks of one size
+        ordered = part.blocks[:fixed] + tuple(sorted(part.blocks[fixed:], key=len, reverse=True))
         sigma = tuple(label for block in ordered for label in block)
-        steps.append((part, _factors(part, mode), tuple(len(block) for block in ordered),
-                      None if sigma == identity else sigma))
-    plan = tuple(steps)
-    if n <= _PLAN_MAX_N:
-        _PLANS[(n, mode)] = plan
-    return plan
+        yield (part, _factors(part, mode), tuple(len(block) for block in ordered),
+               None if sigma == identity else sigma)
 
 
 def _permutation(blocks: list[range], sigma: tuple[int, ...]) -> list[int]:

@@ -49,11 +49,17 @@ class SetPartition:
 
 
 def _from_growth_string(labels: Sequence[int]) -> SetPartition:
+    """The partition a restricted growth string names.  Its blocks are
+    nonempty, sorted, disjoint, cover 1..n and are ordered by minimum by
+    construction, so it skips the checks of ``SetPartition.__post_init__``,
+    which would take most of the time of an enumeration."""
     count = max(labels) + 1
     blocks: list[list[int]] = [[] for _ in range(count)]
     for i, label in enumerate(labels):
         blocks[label].append(i + 1)
-    return SetPartition(tuple(tuple(b) for b in blocks))
+    part = object.__new__(SetPartition)
+    object.__setattr__(part, "blocks", tuple(tuple(b) for b in blocks))
+    return part
 
 
 def _walk(labels: list[int], i: int, top: int, out: list[SetPartition]) -> None:

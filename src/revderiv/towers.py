@@ -31,15 +31,20 @@ from .maps import PolyMap
 CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
 
 
-def _climb(f: PolyMap, t: PolyMap, below: int, order: int, reverse: bool) -> PolyMap:
-    """The order-``order`` tower of f from ``t``, its order ``below``.  The
-    kernels are read from the module's globals at each call, so a wrapper
-    installed there sees every step."""
+_MAXSIZE = 4096  # orders kept per tower cache
+
+
+def _climb(f: PolyMap, order: int, cached: dict[int, PolyMap], reverse: bool) -> PolyMap:
+    """The order-``order`` tower of f, climbed from the highest order of f in
+    ``cached`` between 1 and ``order``, or from the total derivative of f.
+    The kernels are read from the module's globals at each call, so a
+    wrapper installed there sees every step."""
     if order == 0:
         return f
-    if below == 0:
-        t = reverse_derivative(f) if reverse else forward_derivative(f)
-        below = 1
+    below = max((k for k in cached if 0 < k < order), default=None)
+    t = cached.get(below)
+    if t is None:
+        t, below = (reverse_derivative(f) if reverse else forward_derivative(f)), 1
     step = partial_reverse if reverse else partial_forward
     for _ in range(order - below):
         t = step(t, 1)
@@ -47,16 +52,17 @@ def _climb(f: PolyMap, t: PolyMap, below: int, order: int, reverse: bool) -> Pol
 
 
 class _TowerCache:
-    """A tower as a function of ``(f, order)``, cached like
-    :func:`functools.lru_cache` with ``cache_info()`` and ``cache_clear()``.
+    """A tower as a function of ``(f, order)``, with ``cache_info()`` and
+    ``cache_clear()`` as :func:`functools.lru_cache` has them.
 
-    Every call is one lookup, a hit or a miss.  At most ``maxsize`` orders
-    are kept; past that, the map cached first loses all its orders.
+    Every call is one lookup, a hit or a miss.  At most ``_MAXSIZE`` orders
+    are kept, grouped by map; past that, the map cached first loses all its
+    orders, whether or not it was looked up since.
     """
 
-    def __init__(self, name: str, reverse: bool, doc: str, maxsize: int = 4096) -> None:
+    def __init__(self, name: str, reverse: bool, doc: str) -> None:
         self.__name__, self.__doc__ = name, doc
-        self.reverse, self.maxsize = reverse, maxsize
+        self.reverse = reverse
         self.cache_clear()
 
     def cache_clear(self) -> None:
@@ -64,7 +70,7 @@ class _TowerCache:
         self._hits = self._misses = self._size = 0
 
     def cache_info(self) -> CacheInfo:
-        return CacheInfo(self._hits, self._misses, self.maxsize, self._size)
+        return CacheInfo(self._hits, self._misses, _MAXSIZE, self._size)
 
     def __call__(self, f: PolyMap, order: int) -> PolyMap:
         if order < 0:
@@ -74,11 +80,9 @@ class _TowerCache:
             self._hits += 1
             return orders[order]
         self._misses += 1
-        below = max((k for k in orders if k < order), default=0)
-        start = orders[below] if below else f
-        t = orders[order] = _climb(f, start, below, order, self.reverse)
+        t = orders[order] = _climb(f, order, orders, self.reverse)
         self._size += 1
-        while self._size > self.maxsize:
+        while self._size > _MAXSIZE:
             self._size -= len(self._orders.pop(next(iter(self._orders))))
         return t
 

@@ -268,14 +268,3 @@ def test_summand_oracle_catches_the_inverse_placement(mode, monkeypatch):
 
     monkeypatch.setattr(faa_di_bruno, "_permutation", inverted)
     assert summand_mismatches(mode) > 0
-
-
-@MODES
-def test_only_small_partition_plans_are_kept(mode):
-    f, g = corpus_pairs()[0]
-    top = faa_di_bruno._PLAN_MAX_N
-    for n in (top, top + 1):
-        rep = fdb_report(f, g, n, mode)
-        assert rep.equal and len(rep.summands) == len(enumerate_partitions(n + 1))
-    assert (top, mode) in faa_di_bruno._PLANS
-    assert (top + 1, mode) not in faa_di_bruno._PLANS

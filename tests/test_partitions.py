@@ -45,6 +45,7 @@ def test_canonical_invariants(n):
     parts = enumerate_partitions(n)
     seen = set()
     for p in parts:
+        assert SetPartition(p.blocks) == p  # the checks the enumeration skips
         flat = [i for block in p.blocks for i in block]
         assert sorted(flat) == list(range(1, n + 1))
         mins = [block[0] for block in p.blocks]

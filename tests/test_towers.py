@@ -77,6 +77,25 @@ def test_tower_climbs_from_the_highest_cached_order_below(tower, first, step, mo
     assert (info.hits, info.misses, info.currsize) == (1, 3, 3)
 
 
+def test_tower_cache_evicts_the_map_cached_first():
+    dom = ArityProfile((1,))
+    maps = [PolyMap(dom, (Polynomial.constant(1, c),)) for c in range(towers._MAXSIZE)]
+    reverse_tower.cache_clear()
+    reverse_tower(maps[0], 0)
+    reverse_tower(maps[0], 1)
+    for f in maps[1:-1]:
+        reverse_tower(f, 0)
+    assert reverse_tower.cache_info().currsize == towers._MAXSIZE
+    reverse_tower(maps[0], 1)  # a hit does not make the first map recent
+    reverse_tower(maps[-1], 0)  # one past the bound drops both orders of the first map
+    info = reverse_tower.cache_info()
+    assert info.currsize == towers._MAXSIZE - 1
+    reverse_tower(maps[1], 0)
+    assert reverse_tower.cache_info().misses == info.misses
+    reverse_tower(maps[0], 1)
+    assert reverse_tower.cache_info().misses == info.misses + 1
+
+
 def test_reverse_tower_order_zero_is_f():
     f = parse_map("(x1^2, x1)")
     assert reverse_tower(f, 0) == f
