@@ -3,12 +3,13 @@
 The reverse derivative of f : A -> B is the transpose-Jacobian-vector
 product R[f] : A x B -> A; the forward derivative is the Jacobian-vector
 product D[f] : A x A -> B.  All four derivatives (total and per-block, in
-both modes) come from one sparse kernel that walks f's terms once and applies
-the power rule to the variables of one block, emitting each derived term
-straight into its output; its cost follows the number of nonzero terms, not
-the number of (input, output) pairs.  The linear transpose of a map in a
-block it is linear in, and the slice constructions that thread a fixed
-context block through composition, are built on top of it.
+both modes) and every order of the towers in :mod:`revderiv.towers` come
+from one sparse kernel that walks f's terms once and applies the power rule
+to the variables of one block, emitting each derived term straight into its
+output; its cost follows the number of nonzero terms, not the number of
+(input, output) pairs.  The linear transpose of a map in a block it is
+linear in, and the slice constructions that thread a fixed context block
+through composition, are built on top of it.
 
 Derived maps always append their fresh argument blocks at the end of the
 domain, never reordering existing coordinates, so identities between derived
@@ -33,34 +34,72 @@ def _require_single_block(f: PolyMap, what: str) -> None:
         )
 
 
-def _partial(f: PolyMap, j: int, reverse: bool) -> PolyMap:
-    """The partial derivative of f in block j, in one pass over f's terms.
+def _partial(f: PolyMap, j: int, reverse: bool, order: int = 1) -> PolyMap:
+    """The partial derivative of f in block j taken ``order`` times, in one pass.
 
     Each term c*x^m of coordinate k yields, for every variable x_i of block j
     with exponent e = m_i > 0, the term c*e*x^(m - e_i)*y.  In reverse mode y
     is the covector coordinate k and the term belongs to output i; in forward
     mode y is the vector coordinate matching i and the term belongs to output
-    k.  The fresh y block is appended to the domain.  No two emitted terms of
-    one output share a monomial (y's index and the lowered monomial recover
-    the source term), so each output only needs sorting.  The one-hot
-    exponents of y are built on first use, so a wide map with few terms
-    costs little.
+    k.  The fresh y block is appended to the domain.  Each further order
+    chooses one more variable of block j and appends a block of block j's
+    size: in forward mode appended block t holds choice t, in reverse mode
+    block t+1 holds choice t and the last choice names the output.  A term's
+    choices are walked without recursion on one mutable exponent list, each
+    lowering an exponent e and multiplying the coefficient by e (unless
+    e == 1), and only the final monomials are built.  No two emitted terms
+    of one output share a monomial (the appended blocks and the lowered
+    monomial recover the source term and its choices), so each output only
+    needs sorting.  One-hot exponents are built per term or on first use,
+    never as a table, so a wide map with few terms costs little.
     """
     rng = f.domain.block_range(j)
-    width = f.codomain_dim if reverse else len(rng)
-    domain = f.domain.concat(width)
-    units: dict[int, tuple[int, ...]] = {}  # y's position -> its one-hot exponents
+    start, width = rng.start, len(rng)
+    domain = f.domain.concat(f.codomain_dim if reverse else width, *(width,) * (order - 1))
+    units: dict[int, tuple[int, ...]] = {}  # position in block j -> its one-hot exponents
     outputs: list[dict] = [{} for _ in (rng if reverse else f.coords)]
     for k, p in enumerate(f.coords):
-        for mono, c in p.terms:
-            for t, i in enumerate(rng):
-                e = mono[i]
-                if e:
-                    lowered = mono[:i] + (e - 1,) + mono[i + 1:]
-                    out, pos = (t, k) if reverse else (k, t)
-                    if pos not in units:
-                        units[pos] = (0,) * pos + (1,) + (0,) * (width - pos - 1)
-                    outputs[out][lowered + units[pos]] = c * e
+        if not p.terms:
+            continue
+        head = (0,) * k + (1,) + (0,) * (len(f.coords) - k - 1) if reverse else ()
+        # (appended exponents, terms, variables to choose last from) before the last choice
+        leaves = ((head, p.terms, rng),)
+        if order > 1:
+            leaves = []
+            for mono, c in p.terms:
+                ex, support = list(mono), [i for i in rng if mono[i]]
+                tail, stack, n = head, [], 0
+                while True:
+                    if n < len(support) and ex[support[n]]:  # choose support[n]
+                        i = support[n]
+                        e = ex[i]
+                        stack.append((n, c, tail))
+                        ex[i], c, n = e - 1, c if e == 1 else c * e, 0
+                        tail += (0,) * (i - start) + (1,) + (0,) * (rng.stop - i - 1)
+                        if len(stack) < order - 1:
+                            continue
+                        leaves.append((tail, ((tuple(ex), c),), support))
+                    elif n < len(support):
+                        n += 1
+                        continue
+                    elif not stack:
+                        break
+                    n, c, tail = stack.pop()  # take back the last choice and try the next
+                    ex[support[n]] += 1
+                    n += 1
+        for tail, terms, support in leaves:
+            for mono, c in terms:
+                ex = list(mono)
+                for i in support:
+                    e = ex[i]
+                    if e:
+                        t = i - start
+                        y = () if reverse else units.get(t)  # forward: y's one-hot exponents
+                        if y is None:
+                            y = units[t] = (0,) * t + (1,) + (0,) * (width - t - 1)
+                        ex[i] = e - 1
+                        outputs[t if reverse else k][tuple(ex) + tail + y] = c if e == 1 else c * e
+                        ex[i] = e
     dim = domain.total
     return PolyMap(domain, tuple(Polynomial(dim, _canonical_terms(acc)) for acc in outputs))
 

@@ -73,10 +73,12 @@ class ArityProfile:
 
 @dataclass(frozen=True)
 class PolyMap:
-    """A tuple of polynomials over a shared block-structured domain."""
+    """A tuple of polynomials over a shared block-structured domain.  Its hash
+    is that of its fields, computed on first use and kept outside them."""
 
     domain: ArityProfile
     coords: tuple[Polynomial, ...]
+    _hash = None
 
     def __post_init__(self) -> None:
         total = self.domain.total
@@ -85,6 +87,11 @@ class PolyMap:
                 raise ValueError(
                     f"coordinate polynomial has {p.dim} inputs, domain has {total}"
                 )
+
+    def __hash__(self) -> int:
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash((self.domain, self.coords)))
+        return self._hash
 
     @property
     def codomain_dim(self) -> int:

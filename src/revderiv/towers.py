@@ -7,14 +7,14 @@ the partial derivative in the first argument block:
 * reverse tower, order k:  (A, B, A, ..., A) -> A  with k-1 trailing A blocks,
 * forward tower, order k:  (A, A, ..., A) -> B     with k trailing A blocks.
 
-Order 0 is the map itself by convention.  One loop builds both towers: the
-total derivative, then the first-block partial derivative once per further
-order, with no recursion, so any order works.  Each tower's cache holds the
-orders that were asked for, grouped by map.  A call for an order that is not
-cached climbs from the highest cached order of the same map below it, so
-asking for orders 1, ..., n in turn takes n kernel steps, not n(n+1)/2.  The
-orders climbed through are not kept, which keeps the memory of one deep call
-that of its result.
+Order 0 is the map itself by convention.  An order-k tower is one call of
+the derivative kernel of :mod:`revderiv.combinators` at order k, which emits
+only the order-k terms, with no recursion, so any order works.  Each tower's
+cache holds the orders that were asked for, grouped by map.  A call for an
+order that is not cached is one kernel call of the remaining order on the
+highest cached order of the same map below it, or on the map itself.  No
+order in between is built, which keeps the memory of one deep call that of
+its result.
 
 The two towers are exchanged by the linear transpose in the covector/second
 slot; the ``stable`` law suite checks that exchange (the transpose bridge)
@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .combinators import forward_derivative, partial_forward, partial_reverse, reverse_derivative
+from .combinators import _partial, _require_single_block
 from .maps import PolyMap
 
 CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
@@ -35,20 +35,14 @@ _MAXSIZE = 4096  # orders kept per tower cache
 
 
 def _climb(f: PolyMap, order: int, cached: dict[int, PolyMap], reverse: bool) -> PolyMap:
-    """The order-``order`` tower of f, climbed from the highest order of f in
-    ``cached`` between 1 and ``order``, or from the total derivative of f.
-    The kernels are read from the module's globals at each call, so a
-    wrapper installed there sees every step."""
+    """The order-``order`` tower of f: one kernel call of the remaining order
+    on the highest order of f in ``cached`` between 1 and ``order``, or on f."""
     if order == 0:
         return f
-    below = max((k for k in cached if 0 < k < order), default=None)
-    t = cached.get(below)
-    if t is None:
-        t, below = (reverse_derivative(f) if reverse else forward_derivative(f)), 1
-    step = partial_reverse if reverse else partial_forward
-    for _ in range(order - below):
-        t = step(t, 1)
-    return t
+    below = max((k for k in cached if 0 < k < order), default=0)
+    if not below:
+        _require_single_block(f, f"the total {'reverse' if reverse else 'forward'} derivative")
+    return _partial(cached[below] if below else f, 1, reverse, order - below)
 
 
 class _TowerCache:

@@ -2,11 +2,13 @@
 
 import random
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 
 from revderiv.combinators import (
     NotDLinearError,
+    _partial,
     dagger,
     forward_derivative,
     forward_from_reverse,
@@ -18,7 +20,7 @@ from revderiv.combinators import (
     slice_compose,
     slice_reverse,
 )
-from revderiv.corpus import CorpusConfig, random_dlinear_map, random_profile
+from revderiv.corpus import CorpusConfig, random_dlinear_map, random_map, random_profile
 from revderiv.maps import (
     ArityProfile,
     PolyMap,
@@ -283,3 +285,35 @@ def test_slice_reverse():
     g = parse_map("(x1^3)")
     g0 = reblock(g, ArityProfile((0, 1)))
     assert slice_reverse(g0, 0).coords == reverse_derivative(g).coords
+
+
+# -- the kernel at any order ------------------------------------------------------
+
+
+def _steps(f, j, reverse, order):
+    for _ in range(order):
+        f = _partial(f, j, reverse)
+    return f
+
+
+@pytest.mark.parametrize("blocks, codomain", [
+    ((1, 2), 2), ((2, 0, 1), 2), ((0, 3), 2), ((1, 2), 0), ((3,), 2), ((2, 1, 3), 1),
+])
+def test_kernel_of_order_k_is_k_steps_of_order_one(blocks, codomain):
+    rng = random.Random(f"order-k/{blocks}/{codomain}")
+    profile = ArityProfile(blocks)
+    dim = profile.total
+    # one term of degree 4 in the first variable of every block, coefficient 1/2
+    starts = {profile.block_range(j).start for j in range(1, len(blocks) + 1)}
+    spike = Polynomial.from_dict(
+        dim, {tuple(4 if i in starts else 1 for i in range(dim)): Fraction(1, 2)})
+    maps = [PolyMap(profile, (spike,) * codomain)]
+    maps += [random_map(rng, profile, codomain, 5, 4) for _ in range(6)]
+    for f in maps:
+        for j in range(1, len(blocks) + 1):
+            for reverse in (True, False):
+                for order in range(1, 5):
+                    got = _partial(f, j, reverse, order)
+                    assert got == _steps(f, j, reverse, order)
+                    if f is maps[0] and codomain and blocks[j - 1]:
+                        assert not got.is_zero()

@@ -1,14 +1,14 @@
 """Higher-order towers: shapes, frozen values, stable rule, transpose bridge."""
 
+import dataclasses
 import math
 import random
-from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from revderiv import towers
-from revderiv.combinators import dagger, partial_reverse, reverse_derivative
+from revderiv.combinators import _partial, dagger, partial_reverse, reverse_derivative
 from revderiv.corpus import CorpusConfig, random_context_map, random_single_block_map
 from revderiv.laws import _stable_rule
 from revderiv.maps import ArityProfile, PolyMap
@@ -30,6 +30,21 @@ def test_equal_coefficients_give_one_cache_key():
     assert str(first) == "(2*x2)"
 
 
+def test_map_hash_is_computed_once_outside_the_fields():
+    raw = PolyMap(ArityProfile((1,)), (Polynomial(1, (((1,), Fraction(2)),)),))
+    parsed = parse_map("(2*x1)")
+    assert raw._hash is None
+    for f in (raw, parsed):
+        assert hash(f) == f._hash == hash((f.domain, f.coords))
+    assert hash(raw) == hash(parsed) and raw == parsed
+    assert [field.name for field in dataclasses.fields(PolyMap)] == ["domain", "coords"]
+    assert "_hash" not in repr(raw)
+    reverse_tower.cache_clear()
+    reverse_tower(raw, 1)
+    reverse_tower(parsed, 1)
+    assert reverse_tower.cache_info()[:2] == (1, 1)  # one key: a miss, then a hit
+
+
 def test_reverse_tower_of_cube():
     f = parse_map("(x1^3)")
     assert str(reverse_tower(f, 1)) == "(3*x1^2*x2)"
@@ -40,39 +55,35 @@ def test_reverse_tower_of_cube():
 
 @pytest.mark.parametrize("tower", [reverse_tower, forward_tower])
 def test_tower_deeper_than_the_recursion_limit(tower):
-    (poly,) = tower(parse_map("(x1^600)"), 600).coords
-    assert [c for _, c in poly.terms] == [math.factorial(600)]
+    # order 1500 is past the interpreter's default recursion limit of 1000
+    (poly,) = tower(parse_map("(x1^1500)"), 1500).coords
+    assert poly.terms == (((0,) + (1,) * 1500, math.factorial(1500)),)
 
 
-@pytest.mark.parametrize("tower, first, step", [
-    (reverse_tower, "reverse_derivative", "partial_reverse"),
-    (forward_tower, "forward_derivative", "partial_forward"),
-])
-def test_tower_climbs_from_the_highest_cached_order_below(tower, first, step, monkeypatch):
-    kernels = {name: getattr(towers, name) for name in (first, step)}
-    calls = Counter()
+@pytest.mark.parametrize("tower", [reverse_tower, forward_tower])
+def test_tower_miss_is_one_kernel_call_on_the_highest_cached_order_below(tower, monkeypatch):
+    reverse = tower is reverse_tower
+    calls = []
 
-    def counted(name):
-        def call(*args):
-            calls[name] += 1
-            return kernels[name](*args)
-        return call
+    def counted(t, j, rev, order=1):
+        calls.append((t, j, rev, order))
+        return _partial(t, j, rev, order)
 
-    for name in kernels:
-        monkeypatch.setattr(towers, name, counted(name))
+    monkeypatch.setattr(towers, "_partial", counted)
     f = parse_map("(x1^6*x2 - x2^2, x1*x2^5 + 3*x1)", blocks=(2,))
     tower.cache_clear()
-    seen = []
+    got, seen = {}, []
     for order in (4, 2, 5, 5):
-        before = calls.copy()
-        got = tower(f, order)
-        seen.append((calls[first] - before[first], calls[step] - before[step]))
-        want = kernels[first](f)
-        for _ in range(order - 1):
-            want = kernels[step](want, 1)
-        assert got == want and not got.is_zero()
-    # 4 from scratch; 2 from scratch, since only 4 is cached; 5 is one step above 4
-    assert seen == [(1, 3), (1, 1), (0, 1), (0, 0)]
+        before = len(calls)
+        got[order] = tower(f, order)
+        seen.append(calls[before:])
+        want = f
+        for _ in range(order):
+            want = _partial(want, 1, reverse)
+        assert got[order] == want and not want.is_zero()
+    # 4 and 2 from f, since nothing below them is cached; 5 is one order above the cached 4
+    assert seen == [[(f, 1, reverse, 4)], [(f, 1, reverse, 2)], [(got[4], 1, reverse, 1)], []]
+    assert seen[2][0][0] is got[4]
     info = tower.cache_info()
     assert (info.hits, info.misses, info.currsize) == (1, 3, 3)
 
