@@ -18,6 +18,8 @@ maps hold positionally.
 
 from __future__ import annotations
 
+from itertools import compress
+
 from .maps import ArityProfile, PolyMap, compose, pair, precompose_blocks, projection
 from .poly import Polynomial, _canonical_terms
 
@@ -47,10 +49,14 @@ def _partial(f: PolyMap, j: int, reverse: bool, order: int = 1) -> PolyMap:
     block t+1 holds choice t and the last choice names the output.  A term's
     choices are walked without recursion on one mutable exponent list, each
     lowering an exponent e and multiplying the coefficient by e (unless
-    e == 1), and only the final monomials are built.  No two emitted terms
-    of one output share a monomial (the appended blocks and the lowered
-    monomial recover the source term and its choices), so each output only
-    needs sorting.  One-hot exponents are built per term or on first use,
+    e == 1), and only the final monomials are built.  Each choice lowers the
+    term's block-j degree by exactly 1, so a term whose block-j degree is
+    below ``order`` is skipped before any choice, and every walk that starts
+    emits at least one term; the walk chooses only among the block's nonzero
+    exponents, found by ``itertools.compress``.  No two emitted terms of one
+    output share a monomial (the appended blocks and the lowered monomial
+    recover the source term and its choices), so each output only needs
+    sorting.  One-hot exponents are built per term or on first use,
     never as a table, so a wide map with few terms costs little.
     """
     rng = f.domain.block_range(j)
@@ -67,7 +73,10 @@ def _partial(f: PolyMap, j: int, reverse: bool, order: int = 1) -> PolyMap:
         if order > 1:
             leaves = []
             for mono, c in p.terms:
-                ex, support = list(mono), [i for i in rng if mono[i]]
+                block = mono[start:rng.stop]
+                if sum(block) < order:  # the term's order-k derivative is zero
+                    continue
+                ex, support = list(mono), list(compress(rng, block))
                 tail, stack, n = head, [], 0
                 while True:
                     if n < len(support) and ex[support[n]]:  # choose support[n]

@@ -21,8 +21,10 @@ Substitution folds each one-term argument into the exponents and the
 coefficient of a term, so only arguments with several terms are multiplied;
 re-indexing by a permutation relabels each monomial and sorts once, with
 nothing to merge.  One printer body serves ``str`` and callers that print
-many polynomials together and share a table of monomial texts; it prints
-integers of any length, past the interpreter's int/str digit limit.
+many polynomials together and share a table of monomial texts; it finds a
+monomial's nonzero exponents with ``itertools.compress``, so a wide sparse
+monomial costs by its variables, and it prints integers of any length, past
+the interpreter's int/str digit limit.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
+from itertools import compress, count
 from math import prod
 from operator import add, itemgetter
 from typing import Iterable, Mapping, Sequence
@@ -313,8 +316,8 @@ def _text(p: Polynomial, names: dict[Monomial, str] | None = None) -> str:
             body = str(Decimal(abs(num))) if den == 1 else f"{Decimal(abs(num))}/{Decimal(den)}"
         factors = None if names is None else names.get(mono)
         if factors is None:
-            factors = "*".join([f"x{i}" if e == 1 else f"x{i}^{e}"
-                                for i, e in enumerate(mono, 1) if e])
+            factors = "*".join([f"x{i}" if mono[i - 1] == 1 else f"x{i}^{mono[i - 1]}"
+                                for i in compress(count(1), mono)])
             if names is not None:
                 names[mono] = factors
         if factors:

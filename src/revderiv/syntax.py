@@ -28,7 +28,8 @@ from .poly import Coefficient, Polynomial, _accumulate
 
 MAX_COORDINATES = 1000
 
-_TOKEN_RE = re.compile(r"\s*(?:(?P<var>x\d+)|(?P<num>\d+)|(?P<sym>[-+*/^(),])|(?P<bad>\S))")
+# no token matches whitespace, so the search itself skips it
+_TOKEN_RE = re.compile(r"(?P<var>x\d+)|(?P<num>\d+)|(?P<sym>[-+*/^(),])|(?P<bad>\S)")
 
 
 class ParseError(ValueError):
@@ -53,7 +54,7 @@ class _Parser:
         self.tokens: list[tuple[str, str, int]] = []
         for m in _TOKEN_RE.finditer(source):
             kind = m.lastgroup
-            text, pos = m[kind], m.start(kind)
+            text, pos = m.group(), m.start()
             if kind == "bad":
                 raise ParseError(f"unexpected character {text!r}", source, pos)
             self.tokens.append((text if kind == "sym" else kind, text, pos))

@@ -178,6 +178,29 @@ def test_wide_sparse_derivative_allocates_per_emitted_term(derivative, f):
     assert _peak_bytes(derivative, f) < 5_000_000
 
 
+def _chain(lead):
+    """(x1*x2 + x2*x3 + ... + x999*x1000) as one block, or with ``lead`` > 0
+    as the last block after ``lead`` variables, each term times their cubes."""
+    return PolyMap(ArityProfile((lead, 1000) if lead else (1000,)), (Polynomial.from_dict(
+        lead + 1000, {(3,) * lead + (0,) * i + (1, 1) + (0,) * (998 - i): 1 for i in range(999)}),))
+
+
+@pytest.mark.parametrize("reverse", [True, False], ids=["reverse", "forward"])
+@pytest.mark.parametrize("lead", [0, 2], ids=["one-block", "high-degree-block-1"])
+def test_wide_derivative_past_every_terms_degree_allocates_nothing_per_term(lead, reverse):
+    # walking the 999 terms' choices would keep a 3,000-wide monomial per
+    # choice sequence, about 48 MB; a term of block degree 2 has no order-3
+    # terms, whatever its total degree
+    f = _chain(lead)
+    j = f.domain.block_count
+
+    def order_3(f):
+        got = _partial(f, j, reverse, 3)
+        assert got.is_zero()
+        assert got.codomain_dim == (1000 if reverse else 1)
+    assert _peak_bytes(order_3, f) < 5_000_000
+
+
 # -- forward from reverse ----------------------------------------------------------
 
 
@@ -317,3 +340,29 @@ def test_kernel_of_order_k_is_k_steps_of_order_one(blocks, codomain):
                     assert got == _steps(f, j, reverse, order)
                     if f is maps[0] and codomain and blocks[j - 1]:
                         assert not got.is_zero()
+
+
+@pytest.mark.parametrize("order", [2, 3, 4])
+def test_kernel_skips_a_term_by_its_degree_in_block_j_only(order):
+    # block j's degree decides: order - 1 vanishes, order is kept, whatever
+    # the other block holds (nothing, order - 1, or a high degree)
+    profile = ArityProfile((2, 3))
+    for j in (1, 2):
+        rng = profile.block_range(j)
+        other = profile.block_range(3 - j)
+        vanish, kept = {}, {}
+        for degree, terms in ((order - 1, vanish), (order, kept)):
+            for rest in (0, order - 1, 9):
+                for split in range(degree + 1):
+                    mono = [0] * profile.total
+                    mono[rng.start] += split
+                    mono[rng.stop - 1] += degree - split
+                    mono[other.start] += rest
+                    terms[tuple(mono)] = Fraction(split + 1, rest + 2)
+        for terms in (vanish, kept):
+            p = Polynomial.from_dict(profile.total, terms)
+            f = PolyMap(profile, (p, p.scale(-3)))
+            for reverse in (True, False):
+                got = _partial(f, j, reverse, order)
+                assert got == _steps(f, j, reverse, order)
+                assert got.is_zero() == (terms is vanish)

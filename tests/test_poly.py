@@ -11,7 +11,7 @@ from hypothesis import example, given
 from revderiv.combinators import forward_derivative, reverse_derivative
 from revderiv.corpus import random_map
 from revderiv.maps import ArityProfile, PolyMap, sum_maps, zero_map
-from revderiv.poly import Polynomial
+from revderiv.poly import Polynomial, _text
 from revderiv.syntax import parse_map, parse_polynomial
 
 
@@ -236,6 +236,43 @@ def test_canonical_printing():
     # graded-lex descending: degree first, then lexicographic
     q = P(2, {(0, 2): 1, (2, 0): 1, (1, 1): 1, (1, 0): 1})
     assert str(q) == "x1^2 + x1*x2 + x2^2 + x1"
+
+
+def naive_text(p):
+    """Oracle: every term's exponents scanned in full, all ``dim`` of them."""
+    pieces = []
+    for mono, c in p.terms:
+        c = Fraction(c)
+        body = str(abs(c))
+        factors = "*".join([f"x{i}" if e == 1 else f"x{i}^{e}" for i, e in enumerate(mono, 1) if e])
+        if factors:
+            body = factors if body == "1" else f"{body}*{factors}"
+        pieces.append(("-" if c < 0 else "+", body))
+    if not pieces:
+        return "0"
+    text = ("-" if pieces[0][0] == "-" else "") + pieces[0][1]
+    return text + "".join(f" {sign} {body}" for sign, body in pieces[1:])
+
+
+def test_printer_against_naive_scan_of_every_exponent():
+    rng = random.Random(1200)
+    names = {}  # one table shared by every polynomial of a width
+    for dim in [1, 2, 3, 7, 64, 999, 1000, 1200] + [rng.randint(1, 1200) for _ in range(12)]:
+        names.clear()
+        for _ in range(8):
+            coeffs = {}
+            for _ in range(rng.randint(0, 6)):
+                mono = [0] * dim
+                ends = rng.choice([[], [0], [dim - 1]])  # the first and last exponents too
+                for i in rng.sample(range(dim), rng.randint(0, min(dim, 5))) + ends:
+                    mono[i] = rng.choice([1, 1, 2, 3, 17])
+                coeffs[tuple(mono)] = Fraction(rng.randint(-9, 9), rng.choice([1, 1, 2, 7]))
+            p = Polynomial.from_dict(dim, coeffs)
+            expected = naive_text(p)
+            assert _text(p) == expected
+            assert _text(p, names) == expected
+            assert _text(p, names) == expected  # now read from the shared table
+    assert names
 
 
 @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),

@@ -1,6 +1,7 @@
 """Grammar, canonical printing, and round-trips."""
 
 import random
+import re
 import sys
 from fractions import Fraction
 
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from revderiv.corpus import CorpusConfig, random_map, random_profile
 from revderiv.maps import ArityProfile, PolyMap
 from revderiv.poly import Polynomial
-from revderiv.syntax import MAX_COORDINATES, ParseError, parse_map, parse_polynomial
+from revderiv.syntax import MAX_COORDINATES, ParseError, _Parser, parse_map, parse_polynomial
 from revderiv.towers import reverse_tower
 
 
@@ -198,3 +199,30 @@ def test_parser_handles_arbitrary_text(source):
         parse_map(source)
     except ParseError:
         pass
+
+
+# the tokenizer's earlier regex, which matched the whitespace before each token itself
+_OLD_TOKEN_RE = re.compile(r"\s*(?:(?P<var>x\d+)|(?P<num>\d+)|(?P<sym>[-+*/^(),])|(?P<bad>\S))")
+
+
+def _old_tokens(source):
+    """The token list, or the (message, position) of the first bad character,
+    as the earlier regex gave them."""
+    tokens = []
+    for m in _OLD_TOKEN_RE.finditer(source):
+        kind = m.lastgroup
+        text, pos = m[kind], m.start(kind)
+        if kind == "bad":
+            return f"unexpected character {text!r}", pos
+        tokens.append((text if kind == "sym" else kind, text, pos))
+    return tokens + [("end", "", len(source))]
+
+
+@given(st.text(alphabet=st.sampled_from("x0123456789+-*/^(), \t\n\r\x0b\x0c\xa0\u2003\u3000y.=é"),
+               max_size=60) | st.text(max_size=30))
+def test_tokens_match_the_earlier_regex(source):
+    try:
+        got = _Parser(source).tokens
+    except ParseError as err:
+        got = err.message, err.position
+    assert got == _old_tokens(source)
