@@ -3,6 +3,8 @@
 import dataclasses
 import math
 import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -10,7 +12,7 @@ import pytest
 from revderiv import towers
 from revderiv.combinators import _partial, dagger, partial_reverse, reverse_derivative
 from revderiv.corpus import CorpusConfig, random_context_map, random_single_block_map
-from revderiv.laws import _stable_rule
+from revderiv.laws import _stable_rule, run_suite
 from revderiv.maps import ArityProfile, PolyMap
 from revderiv.poly import Polynomial
 from revderiv.syntax import parse_map
@@ -60,8 +62,19 @@ def test_tower_deeper_than_the_recursion_limit(tower):
     assert poly.terms == (((0,) + (1,) * 1500, math.factorial(1500)),)
 
 
+@pytest.fixture
+def fresh_towers():
+    """Both tower caches empty before the test and after it, so no value built
+    under a patched kernel outlives the test."""
+    for tower in (reverse_tower, forward_tower):
+        tower.cache_clear()
+    yield
+    for tower in (reverse_tower, forward_tower):
+        tower.cache_clear()
+
+
 @pytest.mark.parametrize("tower", [reverse_tower, forward_tower])
-def test_tower_miss_is_one_kernel_call_on_the_highest_cached_order_below(tower, monkeypatch):
+def test_tower_miss_is_one_kernel_call_of_its_order_on_f(tower, monkeypatch, fresh_towers):
     reverse = tower is reverse_tower
     calls = []
 
@@ -71,40 +84,80 @@ def test_tower_miss_is_one_kernel_call_on_the_highest_cached_order_below(tower, 
 
     monkeypatch.setattr(towers, "_partial", counted)
     f = parse_map("(x1^6*x2 - x2^2, x1*x2^5 + 3*x1)", blocks=(2,))
-    tower.cache_clear()
-    got, seen = {}, []
+    seen = []
     for order in (4, 2, 5, 5):
         before = len(calls)
-        got[order] = tower(f, order)
+        got = tower(f, order)
         seen.append(calls[before:])
         want = f
         for _ in range(order):
             want = _partial(want, 1, reverse)
-        assert got[order] == want and not want.is_zero()
-    # 4 and 2 from f, since nothing below them is cached; 5 is one order above the cached 4
-    assert seen == [[(f, 1, reverse, 4)], [(f, 1, reverse, 2)], [(got[4], 1, reverse, 1)], []]
-    assert seen[2][0][0] is got[4]
+        assert got == want and not want.is_zero()
+    # every miss starts from f, whatever orders of f are cached
+    assert seen == [[(f, 1, reverse, 4)], [(f, 1, reverse, 2)], [(f, 1, reverse, 5)], []]
     info = tower.cache_info()
     assert (info.hits, info.misses, info.currsize) == (1, 3, 3)
 
 
-def test_tower_cache_evicts_the_map_cached_first():
+def test_tower_cache_drops_the_least_recently_used_key(fresh_towers):
+    maxsize = reverse_tower.cache_info().maxsize
     dom = ArityProfile((1,))
-    maps = [PolyMap(dom, (Polynomial.constant(1, c),)) for c in range(towers._MAXSIZE)]
-    reverse_tower.cache_clear()
-    reverse_tower(maps[0], 0)
-    reverse_tower(maps[0], 1)
-    for f in maps[1:-1]:
-        reverse_tower(f, 0)
-    assert reverse_tower.cache_info().currsize == towers._MAXSIZE
-    reverse_tower(maps[0], 1)  # a hit does not make the first map recent
-    reverse_tower(maps[-1], 0)  # one past the bound drops both orders of the first map
+    maps = [PolyMap(dom, (Polynomial.constant(1, c),)) for c in range(maxsize + 1)]
+    for f in maps[:-1]:
+        reverse_tower(f, 1)
+    reverse_tower(maps[0], 1)  # a hit makes the first key the most recent
+    reverse_tower(maps[-1], 1)  # one past the bound drops the second key
     info = reverse_tower.cache_info()
-    assert info.currsize == towers._MAXSIZE - 1
-    reverse_tower(maps[1], 0)
-    assert reverse_tower.cache_info().misses == info.misses
+    assert info.currsize == maxsize
     reverse_tower(maps[0], 1)
+    assert reverse_tower.cache_info().misses == info.misses
+    reverse_tower(maps[1], 1)
     assert reverse_tower.cache_info().misses == info.misses + 1
+    assert reverse_tower.cache_info().currsize == maxsize
+
+
+def test_towers_shared_across_threads_past_the_bound(fresh_towers):
+    # 4 threads x 1,500 fresh maps pass the 4,096-key bound while the
+    # interpreter switches threads as often as it can
+    threads, per_thread = 4, 1500
+    dom = ArityProfile((1,))
+    errors = []
+
+    def work(start):
+        try:
+            for c in range(start, start + per_thread):
+                f = PolyMap(dom, (Polynomial(1, (((1,), c + 1),)),))
+                assert reverse_tower(f, 1) == reverse_derivative(f)
+        except Exception as exc:  # reported by the main thread
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        pool = [threading.Thread(target=work, args=(i * per_thread,)) for i in range(threads)]
+        for t in pool:
+            t.start()
+        for t in pool:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in pool)
+    assert errors == []
+    info = reverse_tower.cache_info()
+    assert info.currsize == info.maxsize < threads * per_thread
+
+
+@pytest.mark.parametrize("mode", ["forward", "reverse"])
+def test_fdb_laws_run_the_order_k_walk(mode, monkeypatch, fresh_towers):
+    # a kernel that is wrong only above order 1: the fdb laws must see it,
+    # because each tower miss there is one kernel call of the order asked for
+    def wrong_above_one(t, j, rev, order=1):
+        d = _partial(t, j, rev, order)
+        return d.scale(2) if order > 1 else d
+
+    monkeypatch.setattr(towers, "_partial", wrong_above_one)
+    report = run_suite(f"fdb-{mode}", 0, 20)
+    assert report.law_failures[report.laws.index(f"fdb-{mode}")] > 0
 
 
 def test_reverse_tower_order_zero_is_f():
