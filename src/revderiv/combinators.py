@@ -4,12 +4,13 @@ The reverse derivative of f : A -> B is the transpose-Jacobian-vector
 product R[f] : A x B -> A; the forward derivative is the Jacobian-vector
 product D[f] : A x A -> B.  All four derivatives (total and per-block, in
 both modes) and every order of the towers in :mod:`revderiv.towers` come
-from one sparse kernel that walks f's terms once and applies the power rule
-to the variables of one block, emitting each derived term straight into its
-output; its cost follows the number of nonzero terms, not the number of
-(input, output) pairs.  The linear transpose of a map in a block it is
-linear in, and the slice constructions that thread a fixed context block
-through composition, are built on top of it.
+from one sparse kernel: at every order, order 1 included, one walk per term
+chooses among the term's nonzero exponents in one block, applies the power
+rule, and emits each derived term straight into its output.  Its cost
+follows the terms and their variables in that block, not the number of
+(input, output) pairs or the width of the block.  The linear transpose of
+a map in a block it is linear in, and the slice constructions that thread a
+fixed context block through composition, are built on top of it.
 
 Derived maps always append their fresh argument blocks at the end of the
 domain, never reordering existing coordinates, so identities between derived
@@ -39,76 +40,56 @@ def _require_single_block(f: PolyMap, what: str) -> None:
 def _partial(f: PolyMap, j: int, reverse: bool, order: int = 1) -> PolyMap:
     """The partial derivative of f in block j taken ``order`` times, in one pass.
 
-    Each term c*x^m of coordinate k yields, for every variable x_i of block j
-    with exponent e = m_i > 0, the term c*e*x^(m - e_i)*y.  In reverse mode y
-    is the covector coordinate k and the term belongs to output i; in forward
-    mode y is the vector coordinate matching i and the term belongs to output
-    k.  The fresh y block is appended to the domain.  Each further order
-    chooses one more variable of block j and appends a block of block j's
-    size: in forward mode appended block t holds choice t, in reverse mode
-    block t+1 holds choice t and the last choice names the output.  A term's
-    choices are walked without recursion on one mutable exponent list, each
-    lowering an exponent e and multiplying the coefficient by e (unless
-    e == 1), and only the final monomials are built.  Each choice lowers the
-    term's block-j degree by exactly 1, so a term whose block-j degree is
-    below ``order`` is skipped before any choice, and every walk that starts
-    emits at least one term; the walk chooses only among the block's nonzero
-    exponents, found by ``itertools.compress``.  No two emitted terms of one
-    output share a monomial (the appended blocks and the lowered monomial
-    recover the source term and its choices), so each output only needs
-    sorting.  One-hot exponents are built per term or on first use,
-    never as a table, so a wide map with few terms costs little.
+    Each term c*x^m of coordinate k is walked once, without recursion, on one
+    mutable exponent list: a choice picks a variable x_i of block j with
+    exponent e > 0, lowers e by 1 and multiplies the coefficient by e.  An
+    earlier choice appends its one-hot block of block j's size; the
+    ``order``-th choice emits the term, in reverse mode into output i after the
+    one-hot covector block of k, in forward mode into output k with the
+    one-hot of i appended.  A term whose block-j degree is below ``order``
+    cannot make that many choices and is skipped, and the walk chooses only
+    among the nonzero block-j exponents.  No two emitted terms of one output
+    share a monomial (the appended blocks and the lowered monomial recover the
+    source term and its choices), so each output only needs sorting.
     """
     rng = f.domain.block_range(j)
-    start, width = rng.start, len(rng)
-    domain = f.domain.concat(f.codomain_dim if reverse else width, *(width,) * (order - 1))
-    units: dict[int, tuple[int, ...]] = {}  # position in block j -> its one-hot exponents
+    start, stop = rng.start, rng.stop
+    domain = f.domain.concat(f.codomain_dim if reverse else len(rng), *(len(rng),) * (order - 1))
     outputs: list[dict] = [{} for _ in (rng if reverse else f.coords)]
     for k, p in enumerate(f.coords):
-        if not p.terms:
-            continue
         head = (0,) * k + (1,) + (0,) * (len(f.coords) - k - 1) if reverse else ()
-        # (appended exponents, terms, variables to choose last from) before the last choice
-        leaves = ((head, p.terms, rng),)
-        if order > 1:
-            leaves = []
-            for mono, c in p.terms:
-                block = mono[start:rng.stop]
-                if sum(block) < order:  # the term's order-k derivative is zero
-                    continue
-                ex, support = list(mono), list(compress(rng, block))
-                tail, stack, n = head, [], 0
-                while True:
-                    if n < len(support) and ex[support[n]]:  # choose support[n]
-                        i = support[n]
-                        e = ex[i]
-                        stack.append((n, c, tail))
-                        ex[i], c, n = e - 1, c if e == 1 else c * e, 0
-                        tail += (0,) * (i - start) + (1,) + (0,) * (rng.stop - i - 1)
-                        if len(stack) < order - 1:
-                            continue
-                        leaves.append((tail, ((tuple(ex), c),), support))
-                    elif n < len(support):
-                        n += 1
-                        continue
-                    elif not stack:
+        for mono, c in p.terms:
+            block = mono[start:stop]
+            if sum(block) < order:  # the term's order-k derivative is zero
+                continue
+            ex, support = list(mono), list(compress(rng, block))
+            tail, stack, n = head, [], 0
+            while True:
+                if n == len(support):
+                    if not stack:
                         break
                     n, c, tail = stack.pop()  # take back the last choice and try the next
                     ex[support[n]] += 1
                     n += 1
-        for tail, terms, support in leaves:
-            for mono, c in terms:
-                ex = list(mono)
-                for i in support:
-                    e = ex[i]
-                    if e:
-                        t = i - start
-                        y = () if reverse else units.get(t)  # forward: y's one-hot exponents
-                        if y is None:
-                            y = units[t] = (0,) * t + (1,) + (0,) * (width - t - 1)
-                        ex[i] = e - 1
-                        outputs[t if reverse else k][tuple(ex) + tail + y] = c if e == 1 else c * e
-                        ex[i] = e
+                    continue
+                i = support[n]
+                e = ex[i]
+                if not e:
+                    n += 1
+                    continue
+                ex[i], ce = e - 1, c if e == 1 else c * e
+                last = len(stack) == order - 1
+                if reverse and last:
+                    outputs[i - start][tuple(ex) + tail] = ce
+                else:
+                    deeper = tail + (0,) * (i - start) + (1,) + (0,) * (stop - i - 1)
+                    if not last:  # descend with the choice's one-hot appended
+                        stack.append((n, c, tail))
+                        c, tail, n = ce, deeper, 0
+                        continue
+                    outputs[k][tuple(ex) + deeper] = ce
+                ex[i] = e
+                n += 1
     dim = domain.total
     return PolyMap(domain, tuple(Polynomial(dim, _canonical_terms(acc)) for acc in outputs))
 

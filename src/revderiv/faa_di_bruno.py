@@ -30,8 +30,8 @@ The partitions, their shapes, their factors and their relabellings sigma
 depend on n and the mode alone; a report reads them off one pass over the
 partitions.  It builds f at the base point and each block's forward factor
 of f once for all its shape representatives, and relabels every other
-summand by one flat coordinate permutation read off sigma and the domain's
-block offsets, with one ``itemgetter`` per coordinate.  A report's JSON prints
+summand by routing its blocks through :func:`~revderiv.maps.precompose_blocks`,
+which relabels each monomial by one permutation.  A report's JSON prints
 all its maps with one shared table of monomial texts, since they share a
 domain and most monomials recur among them.
 """
@@ -192,29 +192,15 @@ def _plan(n: int, mode: str) -> Iterator[tuple]:
                None if sigma == identity else sigma)
 
 
-def _permutation(blocks: list[range], sigma: tuple[int, ...]) -> list[int]:
-    """The flat coordinate permutation that relabels a summand by sigma, from
-    the coordinate ranges of the domain's blocks.
-
-    Label t lives in domain block t+1, after the base point's block 1.  The
-    relabelled summand takes its argument block t+1 from domain block
-    sigma(t)+1, so coordinate j of domain block s+1 reads coordinate j of
-    block sigma^-1(s)+1 of the representative's summand.
-    """
-    label = [0] * len(blocks)
-    for t, s in enumerate(sigma, start=1):
-        label[s] = t
-    return [i for t in label for i in blocks[t]]
-
-
 def _summands(f: PolyMap, g: PolyMap, dom: ArityProfile, n: int,
               mode: str) -> tuple[FdbSummand, ...]:
-    """Every partition's summand, with one real substitution per shape; every
-    other summand is its shape representative's relabelled by
-    :func:`_permutation`."""
+    """Every partition's summand, with one real substitution per shape.  Every
+    other summand is its shape representative's relabelled by sigma: label t
+    lives in domain block t+1, after the base point's block 1, so the
+    relabelled summand takes its argument block t+1 from domain block
+    sigma(t)+1."""
     build = _forward_summand if mode == "forward" else _reverse_summand
     inner = _Inner(f, dom)
-    blocks = [dom.block_range(b) for b in range(1, dom.block_count + 1)]
     reps: dict[tuple[int, ...], FdbSummand] = {}
     out = []
     for part, factors, shape, sigma in _plan(n, mode):
@@ -224,9 +210,8 @@ def _summands(f: PolyMap, g: PolyMap, dom: ArityProfile, n: int,
         if sigma is None:
             out.append(rep)
             continue
-        order = _permutation(blocks, sigma)
-        result = PolyMap(dom, tuple(p.permute(order) for p in rep.result.coords))
-        out.append(FdbSummand(part, factors, result))
+        placement = {1: 1} | {t + 1: s + 1 for t, s in enumerate(sigma, start=1)}
+        out.append(FdbSummand(part, factors, precompose_blocks(rep.result, dom, placement)))
     return tuple(out)
 
 

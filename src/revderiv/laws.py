@@ -436,19 +436,27 @@ def law_stable_context(rng: random.Random, cfg: CorpusConfig) -> LawFailure | No
 
 
 def law_second_reverse(rng: random.Random, cfg: CorpusConfig) -> LawFailure | None:
-    """The order-2 reverse tower is the Hessian contracted with the covector y
-    and the vector v: coordinate i on (n, m, n) is the sum over k, j of
-    d^2 f_k / dx_i dx_j * y_k * v_j, built from coordinate partials alone."""
+    """The order-K reverse tower, for every K from 1 to max_order + 1, is the
+    K-th derivative contracted with the covector y and the vectors v2, ...,
+    vK: coordinate i on (n, m, n, ..., n) is the sum over k, j2, ..., jK of
+    d^K f_k / dx_i dx_j2 ... dx_jK * y_k * v2_j2 * ... * vK_jK.  It is built
+    from coordinate partials and one-term products alone, one v block at a
+    time, dropping a branch once its partial is zero."""
     f = random_single_block_map(rng, cfg)
     n, m = f.domain.total, f.codomain_dim
-    dim = 2 * n + m
-    hessian = PolyMap(ArityProfile((n, m, n)), tuple(
-        Polynomial.sum(dim, (fk.partial(i).partial(j).pad(dim) * Polynomial.variable(n + k, dim)
-                             * Polynomial.variable(n + m + j, dim)
-                             for k, fk in enumerate(f.coords) for j in range(n)))
-        for i in range(n)
-    ))
-    return _cmp("second-reverse", [f], reverse_tower(f, 2), hessian)
+
+    def contraction(order: int) -> PolyMap:
+        dim = n + m + (order - 1) * n
+        # (partial of f_k so far, its factor y_k * v2_j2 * ...)
+        branches = [(fk.pad(dim), Polynomial.variable(n + k, dim)) for k, fk in enumerate(f.coords)]
+        for start in range(n + m, dim, n):
+            branches = [(d, w * Polynomial.variable(start + j, dim))
+                        for p, w in branches for j in range(n) for d in (p.partial(j),) if d.terms]
+        return PolyMap(ArityProfile((n, m) + (n,) * (order - 1)), tuple(
+            Polynomial.sum(dim, (p.partial(i) * w for p, w in branches)) for i in range(n)))
+
+    return _first(_cmp("second-reverse", [f], reverse_tower(f, order), contraction(order))
+                  for order in range(1, cfg.max_order + 2))
 
 
 def law_tower_bridge(rng: random.Random, cfg: CorpusConfig) -> LawFailure | None:

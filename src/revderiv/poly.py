@@ -242,8 +242,10 @@ class Polynomial:
         Terms that use a zeroed coordinate vanish; coordinates routed from one
         source add their exponents.  Equal to :meth:`substitute` with the
         corresponding variables and zeros, without multiplying polynomials.
-        When ``sources`` is a permutation of ``range(dim)``, this is
-        :meth:`permute` by the inverse permutation.
+        When ``sources`` is a permutation of ``range(dim)``, each monomial is
+        relabelled by one ``itemgetter`` of the inverse permutation and the
+        terms are sorted once: distinct monomials stay distinct, so nothing
+        merges and nothing vanishes.
         """
         if len(sources) != self.dim:
             raise ValueError(f"{len(sources)} routing sources, expected {self.dim}")
@@ -251,10 +253,15 @@ class Polynomial:
             if s is not None and not 0 <= s < dim:
                 raise IndexError(f"source coordinate {s} out of range for dimension {dim}")
         if dim == self.dim and None not in sources and len(set(sources)) == dim:
+            if dim < 2:
+                return self  # the only permutation is the identity
             inverse = [0] * dim
             for i, s in enumerate(sources):
                 inverse[s] = i
-            return self.permute(inverse)
+            relabel = itemgetter(*inverse)  # with two or more items, returns a tuple
+            terms = [(relabel(m), c) for m, c in self.terms]
+            terms.sort(key=_graded, reverse=True)
+            return Polynomial(dim, tuple(terms))
 
         def routed():
             for m, c in self.terms:
@@ -269,19 +276,6 @@ class Polynomial:
                     yield tuple(new), c
 
         return _accumulate(dim, routed())
-
-    def permute(self, order: Sequence[int]) -> "Polynomial":
-        """Coordinate ``j`` of the result takes the exponent of coordinate
-        ``order[j]``.  ``order`` must be a permutation of ``range(dim)``; that
-        is not checked.  Each monomial is relabelled by one ``itemgetter`` and
-        the terms are sorted once: distinct monomials stay distinct, so
-        nothing merges and nothing vanishes."""
-        if self.dim < 2:
-            return self  # the only permutation is the identity
-        relabel = itemgetter(*order)  # with two or more items, returns a tuple
-        terms = [(relabel(m), c) for m, c in self.terms]
-        terms.sort(key=_graded, reverse=True)
-        return Polynomial(self.dim, tuple(terms))
 
     def pad(self, dim: int) -> "Polynomial":
         """Embed into a larger space by appending fresh trailing coordinates."""

@@ -342,10 +342,11 @@ def test_kernel_of_order_k_is_k_steps_of_order_one(blocks, codomain):
                         assert not got.is_zero()
 
 
-@pytest.mark.parametrize("order", [2, 3, 4])
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
 def test_kernel_skips_a_term_by_its_degree_in_block_j_only(order):
     # block j's degree decides: order - 1 vanishes, order is kept, whatever
-    # the other block holds (nothing, order - 1, or a high degree)
+    # the other block holds (nothing, order - 1, or a high degree); at order 1
+    # a term with no block-j variable vanishes
     profile = ArityProfile((2, 3))
     for j in (1, 2):
         rng = profile.block_range(j)

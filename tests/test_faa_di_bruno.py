@@ -257,14 +257,17 @@ def test_summand_oracle_catches_a_same_shape_swap(mode, monkeypatch):
 
 @MODES
 def test_summand_oracle_catches_the_inverse_placement(mode, monkeypatch):
-    permutation = faa_di_bruno._permutation
+    plan = faa_di_bruno._plan
 
-    def inverted(blocks, sigma):
+    def inverted(n, mode):
         # relabel by sigma^-1 instead of sigma
-        inverse = [0] * len(sigma)
-        for t, s in enumerate(sigma, start=1):
-            inverse[s - 1] = t
-        return permutation(blocks, tuple(inverse))
+        for part, factors, shape, sigma in plan(n, mode):
+            if sigma is not None:
+                inverse = [0] * len(sigma)
+                for t, s in enumerate(sigma, start=1):
+                    inverse[s - 1] = t
+                sigma = tuple(inverse)
+            yield part, factors, shape, sigma
 
-    monkeypatch.setattr(faa_di_bruno, "_permutation", inverted)
+    monkeypatch.setattr(faa_di_bruno, "_plan", inverted)
     assert summand_mismatches(mode) > 0

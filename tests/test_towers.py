@@ -160,6 +160,18 @@ def test_fdb_laws_run_the_order_k_walk(mode, monkeypatch, fresh_towers):
     assert report.law_failures[report.laws.index(f"fdb-{mode}")] > 0
 
 
+def test_second_reverse_checks_every_tower_order(monkeypatch, fresh_towers):
+    # a kernel that is wrong only above order 2: second-reverse compares each
+    # order of the reverse tower with a contraction that shares no code with it
+    def wrong_above_two(t, j, rev, order=1):
+        d = _partial(t, j, rev, order)
+        return d.scale(2) if order > 2 else d
+
+    monkeypatch.setattr(towers, "_partial", wrong_above_two)
+    report = run_suite("stable", 0, 20)
+    assert report.law_failures[report.laws.index("second-reverse")] > 0
+
+
 def test_reverse_tower_order_zero_is_f():
     f = parse_map("(x1^2, x1)")
     assert reverse_tower(f, 0) == f
