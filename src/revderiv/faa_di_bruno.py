@@ -26,14 +26,16 @@ sizes.  Every other summand relabels its shape's by one permutation of the
 coordinates, which rewrites exponents only (Constantine & Savits, Trans. AMS
 348(2), 1996; Hardy, Electron. J. Combin. 13, 2006).
 
-The partitions, their shapes, their factors and their relabellings sigma
-depend on n and the mode alone; a report reads them off one pass over the
-partitions.  It builds f at the base point and each block's forward factor
-of f once for all its shape representatives, and relabels every other
-summand by routing its blocks through :func:`~revderiv.maps.precompose_blocks`,
-which relabels each monomial by one permutation.  A report's JSON prints
-all its maps with one shared table of monomial texts, since they share a
-domain and most monomials recur among them.
+The partitions, their shapes and their relabellings sigma depend on n and
+the mode alone; a report reads them off one pass over the partitions.  A
+shape's representative is one of those partitions: the one whose blocks, in
+the shape's order, hold consecutive labels.  The report substitutes into each
+representative, building f at the base point and each block's forward factor
+of f once for all of them, relabels every other summand by routing its blocks
+through :func:`~revderiv.maps.precompose_blocks`, which relabels each monomial
+by one permutation, and reads each partition's factors off its blocks once.
+A report's JSON prints all its maps with one shared table of monomial texts,
+since they share a domain and most monomials recur among them.
 """
 
 from __future__ import annotations
@@ -142,13 +144,12 @@ def _factors(part: SetPartition, mode: str) -> tuple[Factor, ...]:
     return tuple(head + [("forward", "f", size) for size in sizes])
 
 
-def _forward_summand(g: PolyMap, inner: _Inner, part: SetPartition) -> FdbSummand:
+def _forward_summand(g: PolyMap, inner: _Inner, part: SetPartition) -> PolyMap:
     vs = [inner.factor(block) for block in part.blocks]
-    result = compose(forward_tower(g, len(part.blocks)), pair([inner.base] + vs))
-    return FdbSummand(part, _factors(part, "forward"), result)
+    return compose(forward_tower(g, len(part.blocks)), pair([inner.base] + vs))
 
 
-def _reverse_summand(g: PolyMap, inner: _Inner, part: SetPartition) -> FdbSummand:
+def _reverse_summand(g: PolyMap, inner: _Inner, part: SetPartition) -> PolyMap:
     first, rest = part.blocks[0], part.blocks[1:]
     if first[0] != 1:
         raise AssertionError("canonical partitions keep 1 in the first block")
@@ -158,28 +159,19 @@ def _reverse_summand(g: PolyMap, inner: _Inner, part: SetPartition) -> FdbSumman
     vs = [inner.factor(block) for block in rest]
     w = compose(reverse_tower(g, len(part.blocks)), pair([inner.base, projection(dom, 2)] + vs))
     outer_args = [projection(dom, 1), w] + [projection(dom, s + 1) for s in first[1:]]
-    result = compose(reverse_tower(inner.f, len(first)), pair(outer_args))
-    return FdbSummand(part, _factors(part, "reverse"), result)
+    return compose(reverse_tower(inner.f, len(first)), pair(outer_args))
 
 
-def _representative(shape: tuple[int, ...]) -> SetPartition:
-    """The partition of the given block sizes with consecutive labels."""
-    blocks, start = [], 1
-    for size in shape:
-        blocks.append(tuple(range(start, start + size)))
-        start += size
-    return SetPartition(tuple(blocks))
-
-
-def _plan(n: int, mode: str) -> Iterator[tuple]:
+def _plan(n: int, mode: str) -> Iterator[tuple[SetPartition, tuple[int, ...], tuple[int, ...] | None]]:
     """What the summands of order offset n depend on apart from the maps: for
     each partition of {1, ..., n+1} in canonical order, the partition, its
-    factors, its shape, and sigma, or None for its shape's representative.
+    shape, and sigma, or None for its shape's representative.
 
     A partition's blocks, put in its shape's order (by size, largest first,
     then by minimum; in reverse mode the block of 1 stays first), list the
     labels sigma(1), ..., sigma(n+1) that its shape representative's labels
-    1, ..., n+1 map to.
+    1, ..., n+1 map to.  The representative is the one partition of its shape
+    whose blocks, in that order, hold consecutive labels.
     """
     fixed = 0 if mode == "forward" else 1
     identity = tuple(range(1, n + 2))
@@ -188,30 +180,27 @@ def _plan(n: int, mode: str) -> Iterator[tuple]:
         # among blocks of one size
         ordered = part.blocks[:fixed] + tuple(sorted(part.blocks[fixed:], key=len, reverse=True))
         sigma = tuple(label for block in ordered for label in block)
-        yield (part, _factors(part, mode), tuple(len(block) for block in ordered),
-               None if sigma == identity else sigma)
+        yield part, tuple(len(block) for block in ordered), None if sigma == identity else sigma
 
 
 def _summands(f: PolyMap, g: PolyMap, dom: ArityProfile, n: int,
               mode: str) -> tuple[FdbSummand, ...]:
-    """Every partition's summand, with one real substitution per shape.  Every
-    other summand is its shape representative's relabelled by sigma: label t
-    lives in domain block t+1, after the base point's block 1, so the
-    relabelled summand takes its argument block t+1 from domain block
-    sigma(t)+1."""
+    """Every partition's summand, with one real substitution per shape, made
+    on the shape's representative.  Every other summand is its shape
+    representative's relabelled by sigma: label t lives in domain block t+1,
+    after the base point's block 1, so the relabelled summand takes its
+    argument block t+1 from domain block sigma(t)+1."""
     build = _forward_summand if mode == "forward" else _reverse_summand
     inner = _Inner(f, dom)
-    reps: dict[tuple[int, ...], FdbSummand] = {}
+    plan = list(_plan(n, mode))
+    reps = {shape: build(g, inner, part) for part, shape, sigma in plan if sigma is None}
     out = []
-    for part, factors, shape, sigma in _plan(n, mode):
-        if shape not in reps:
-            reps[shape] = build(g, inner, _representative(shape))
-        rep = reps[shape]
-        if sigma is None:
-            out.append(rep)
-            continue
-        placement = {1: 1} | {t + 1: s + 1 for t, s in enumerate(sigma, start=1)}
-        out.append(FdbSummand(part, factors, precompose_blocks(rep.result, dom, placement)))
+    for part, shape, sigma in plan:
+        result = reps[shape]
+        if sigma is not None:
+            placement = {1: 1} | {t + 1: s + 1 for t, s in enumerate(sigma, start=1)}
+            result = precompose_blocks(result, dom, placement)
+        out.append(FdbSummand(part, _factors(part, mode), result))
     return tuple(out)
 
 
@@ -225,7 +214,8 @@ def _first_difference(lhs: PolyMap, rhs: PolyMap) -> str | None:
     # the leading monomial of the difference is the highest one that differs
     mono = (p - q).terms[0][0]
     text = str(Polynomial(p.dim, ((mono, 1),)))
-    cl, cr = p.as_dict().get(mono, 0), q.as_dict().get(mono, 0)
+    # the canonical printer, which prints past the int/str digit limit
+    cl, cr = (str(Polynomial.constant(p.dim, side.as_dict().get(mono, 0))) for side in (p, q))
     return f"coordinate {i + 1}, monomial {text}: {cl} vs {cr}"
 
 

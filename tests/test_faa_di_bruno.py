@@ -2,16 +2,20 @@
 
 import dataclasses
 import random
+import sys
+from fractions import Fraction
 
 import pytest
 
 from revderiv import faa_di_bruno
 from revderiv.corpus import CorpusConfig, random_composable_pair, random_map
 from revderiv.faa_di_bruno import (
+    _factors,
     _first_difference,
     _Inner,
     _forward_summand,
     _reverse_summand,
+    FdbSummand,
     fdb_report,
 )
 from revderiv.maps import ArityProfile, PolyMap, compose, pair, select_blocks
@@ -182,6 +186,22 @@ def test_first_difference_names_coordinate_and_monomial():
     assert _first_difference(lhs, rhs) == "shape mismatch: (1,1)->1 vs (2)->1"
 
 
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="this Python has no limit on int/str conversions")
+def test_first_difference_prints_past_the_int_str_limit():
+    # the interpreter's default limit is 4,300 digits; the coefficient has 5,000
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        big = Fraction(10**4999 + 1)
+        lhs = PolyMap(ArityProfile((1,)), (Polynomial.constant(1, big),))
+        rhs = PolyMap(ArityProfile((1,)), (Polynomial.constant(1, -big),))
+        digits = "1" + "0" * 4998 + "1"
+        assert _first_difference(lhs, rhs) == f"coordinate 1, monomial 1: {digits} vs -{digits}"
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 # -- every summand against its own direct construction --------------------------
 
 
@@ -205,7 +225,9 @@ def direct_summands(f, g, n, mode):
         dom, build = ArityProfile((a,) * (n + 2)), _forward_summand
     else:
         dom, build = ArityProfile((a, g.codomain_dim) + (a,) * n), _reverse_summand
-    return [build(g, _Inner(f, dom), part) for part in enumerate_partitions(n + 1)]
+    inner = _Inner(f, dom)
+    return [FdbSummand(part, _factors(part, mode), build(g, inner, part))
+            for part in enumerate_partitions(n + 1)]
 
 
 def summand_mismatches(mode):
@@ -229,13 +251,12 @@ def test_every_summand_matches_its_direct_construction(mode):
     assert summand_mismatches(mode) == 0
 
 
-@MODES
-def test_summand_oracle_catches_a_same_shape_swap(mode, monkeypatch):
-    shared = faa_di_bruno._summands
+def same_shape_swap(summands):
+    """A mutant of ``_summands`` that hands each summand's map to the next
+    partition of the same shape: the totals cannot see it."""
 
     def swapped(f, g, dom, n, mode):
-        # hand each summand's map to the next partition of the same shape
-        out = list(shared(f, g, dom, n, mode))
+        out = list(summands(f, g, dom, n, mode))
         groups = {}
         for i, s in enumerate(out):
             sizes = s.partition.block_sizes()
@@ -248,7 +269,27 @@ def test_summand_oracle_catches_a_same_shape_swap(mode, monkeypatch):
                 out[i] = dataclasses.replace(out[i], result=m)
         return tuple(out)
 
-    monkeypatch.setattr(faa_di_bruno, "_summands", swapped)
+    return swapped
+
+
+def inverse_placement(plan):
+    """A mutant of ``_plan`` that relabels by sigma^-1 instead of sigma."""
+
+    def inverted(n, mode):
+        for part, shape, sigma in plan(n, mode):
+            if sigma is not None:
+                inverse = [0] * len(sigma)
+                for t, s in enumerate(sigma, start=1):
+                    inverse[s - 1] = t
+                sigma = tuple(inverse)
+            yield part, shape, sigma
+
+    return inverted
+
+
+@MODES
+def test_summand_oracle_catches_a_same_shape_swap(mode, monkeypatch):
+    monkeypatch.setattr(faa_di_bruno, "_summands", same_shape_swap(faa_di_bruno._summands))
     # the totals cannot see the swap
     for f, g in corpus_pairs():
         assert fdb_report(f, g, 3, mode).equal
@@ -257,17 +298,35 @@ def test_summand_oracle_catches_a_same_shape_swap(mode, monkeypatch):
 
 @MODES
 def test_summand_oracle_catches_the_inverse_placement(mode, monkeypatch):
-    plan = faa_di_bruno._plan
-
-    def inverted(n, mode):
-        # relabel by sigma^-1 instead of sigma
-        for part, factors, shape, sigma in plan(n, mode):
-            if sigma is not None:
-                inverse = [0] * len(sigma)
-                for t, s in enumerate(sigma, start=1):
-                    inverse[s - 1] = t
-                sigma = tuple(inverse)
-            yield part, factors, shape, sigma
-
-    monkeypatch.setattr(faa_di_bruno, "_plan", inverted)
+    monkeypatch.setattr(faa_di_bruno, "_plan", inverse_placement(faa_di_bruno._plan))
     assert summand_mismatches(mode) > 0
+
+
+@pytest.mark.parametrize("mode, calls", [
+    ("forward", [1, 2, 3, 5, 7, 11]),
+    ("reverse", [1, 2, 4, 7, 12, 19]),
+])
+def test_one_substitution_per_shape_on_its_consecutive_partition(mode, calls, monkeypatch):
+    name = "_forward_summand" if mode == "forward" else "_reverse_summand"
+    build = getattr(faa_di_bruno, name)
+    seen = []
+
+    def counted(g, inner, part):
+        seen.append(part)
+        return build(g, inner, part)
+
+    monkeypatch.setattr(faa_di_bruno, name, counted)
+    f = parse_map("(x1^3*x2 + x2^2, x1*x2 - x1^4)", blocks=(2,))
+    g = parse_map("(x1^2*x2^3 + x1, x2^5)", blocks=(2,))
+    fixed = 0 if mode == "forward" else 1
+    for n, count in enumerate(calls):
+        seen.clear()
+        assert fdb_report(f, g, n, mode).equal
+        assert len(seen) == count
+        shapes = {part.block_sizes() for part in seen}
+        assert len(shapes) == count
+        for part in seen:
+            # consecutive labels, blocks largest first (after 1's block in reverse mode)
+            assert [label for block in part.blocks for label in block] == list(range(1, n + 2))
+            sizes = part.block_sizes()
+            assert list(sizes[fixed:]) == sorted(sizes[fixed:], reverse=True)
