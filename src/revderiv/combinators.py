@@ -6,8 +6,9 @@ product D[f] : A x A -> B.  All four derivatives (total and per-block, in
 both modes) and every order of the towers in :mod:`revderiv.towers` come
 from one sparse kernel: at every order, order 1 included, one walk per term
 chooses among the term's nonzero exponents in one block, applies the power
-rule, and emits each derived term straight into its output.  Its cost
-follows the terms and their variables in that block, not the number of
+rule, and appends each derived term to its output's list, which is sorted
+once; no two terms of one output share a monomial, so none are merged.  Its
+cost follows the terms and their variables in that block, not the number of
 (input, output) pairs or the width of the block.  The linear transpose of
 a map in a block it is linear in, and the slice constructions that thread a
 fixed context block through composition, are built on top of it.
@@ -50,12 +51,15 @@ def _partial(f: PolyMap, j: int, reverse: bool, order: int = 1) -> PolyMap:
     cannot make that many choices and is skipped, and the walk chooses only
     among the nonzero block-j exponents.  No two emitted terms of one output
     share a monomial (the appended blocks and the lowered monomial recover the
-    source term and its choices), so each output only needs sorting.
+    source term and its choices), so each output is a list that the walk
+    appends to and that is sorted once, with nothing to merge or hash.  Each
+    variable's one-hot block is built once per call, on its first choice.
     """
     rng = f.domain.block_range(j)
     start, stop = rng.start, rng.stop
     domain = f.domain.concat(f.codomain_dim if reverse else len(rng), *(len(rng),) * (order - 1))
-    outputs: list[dict] = [{} for _ in (rng if reverse else f.coords)]
+    outputs: list[list] = [[] for _ in (rng if reverse else f.coords)]
+    units: dict[int, tuple[int, ...]] = {}  # variable -> its one-hot block, built on first use
     for k, p in enumerate(f.coords):
         head = (0,) * k + (1,) + (0,) * (len(f.coords) - k - 1) if reverse else ()
         for mono, c in p.terms:
@@ -80,18 +84,20 @@ def _partial(f: PolyMap, j: int, reverse: bool, order: int = 1) -> PolyMap:
                 ex[i], ce = e - 1, c if e == 1 else c * e
                 last = len(stack) == order - 1
                 if reverse and last:
-                    outputs[i - start][tuple(ex) + tail] = ce
+                    outputs[i - start].append((tuple(ex) + tail, ce))
                 else:
-                    deeper = tail + (0,) * (i - start) + (1,) + (0,) * (stop - i - 1)
+                    unit = units.get(i)
+                    if unit is None:
+                        unit = units[i] = (0,) * (i - start) + (1,) + (0,) * (stop - i - 1)
                     if not last:  # descend with the choice's one-hot appended
                         stack.append((n, c, tail))
-                        c, tail, n = ce, deeper, 0
+                        c, tail, n = ce, tail + unit, 0
                         continue
-                    outputs[k][tuple(ex) + deeper] = ce
+                    outputs[k].append((tuple(ex) + tail + unit, ce))
                 ex[i] = e
                 n += 1
     dim = domain.total
-    return PolyMap(domain, tuple(Polynomial(dim, _canonical_terms(acc)) for acc in outputs))
+    return PolyMap(domain, tuple(Polynomial(dim, _canonical_terms(terms)) for terms in outputs))
 
 
 def reverse_derivative(f: PolyMap) -> PolyMap:

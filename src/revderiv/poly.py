@@ -47,11 +47,12 @@ def _graded(term: tuple[Monomial, Coefficient]) -> tuple[int, Monomial]:
     return sum(term[0]), term[0]
 
 
-def _canonical_terms(coeffs: Mapping[Monomial, Coefficient]) -> tuple[tuple[Monomial, Coefficient], ...]:
+def _canonical_terms(
+        terms: Iterable[tuple[Monomial, Coefficient]]) -> tuple[tuple[Monomial, Coefficient], ...]:
     """Drop zero coefficients, store integral ones as ints and sort
-    descending in (degree, monomial)."""
+    descending in (degree, monomial); no two of ``terms`` share a monomial."""
     items = [(m, c if type(c) is int or c.denominator != 1 else c.numerator)
-             for m, c in coeffs.items() if c]
+             for m, c in terms if c]
     items.sort(key=_graded, reverse=True)
     return tuple(items)
 
@@ -62,7 +63,7 @@ def _accumulate(dim: int, terms: Iterable[tuple[Monomial, Coefficient]]) -> "Pol
     acc: dict[Monomial, Coefficient] = {}
     for m, c in terms:
         acc[m] = acc[m] + c if m in acc else c
-    return Polynomial(dim, _canonical_terms(acc))
+    return Polynomial(dim, _canonical_terms(acc.items()))
 
 
 @dataclass(frozen=True)
@@ -85,7 +86,7 @@ class Polynomial:
                 raise ValueError(f"monomial {mono} has {len(mono)} exponents, expected {dim}")
             if any(e < 0 for e in mono):
                 raise ValueError(f"negative exponent in monomial {mono}")
-        return Polynomial(dim, _canonical_terms(coeffs))
+        return Polynomial(dim, _canonical_terms(coeffs.items()))
 
     @staticmethod
     def zero(dim: int) -> "Polynomial":
@@ -93,7 +94,7 @@ class Polynomial:
 
     @staticmethod
     def constant(dim: int, value: Coefficient) -> "Polynomial":
-        return Polynomial(dim, _canonical_terms({(0,) * dim: value}))
+        return Polynomial(dim, _canonical_terms([((0,) * dim, value)]))
 
     @staticmethod
     def sum(dim: int, polys: Iterable["Polynomial"]) -> "Polynomial":
@@ -136,7 +137,7 @@ class Polynomial:
 
     def scale(self, value: Coefficient) -> "Polynomial":
         # a zero value drops every term; an integral product is stored as an int
-        return Polynomial(self.dim, _canonical_terms({m: value * k for m, k in self.terms}))
+        return Polynomial(self.dim, _canonical_terms((m, value * k) for m, k in self.terms))
 
     def __mul__(self, other: "Polynomial | Coefficient") -> "Polynomial":
         if isinstance(other, (int, Fraction)):

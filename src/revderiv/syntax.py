@@ -11,9 +11,16 @@ identity on canonical forms of maps on at most ``MAX_COORDINATES`` (1,000)
 coordinates; a printed map on more, such as a deep derivative tower, does not
 parse back.
 
-One regex scan tokenizes the source before any grammar rule runs; each term's
-monomial is written once, and variables past ``MAX_COORDINATES`` are rejected.
-Parse errors carry the offending position for caret-style reporting; a number
+The tokens are variables ``x<digits>``, numbers ``<digits>`` and the symbols
+``-+*/^(),``; whitespace only separates them.  One regex search finds the
+first character that starts no token, which is reported before any grammar
+error.  Then one compiled regex match reads each term: its sign, its
+coefficient or first factor, and the span of its ``*``-joined factors, which
+one ``finditer`` splits.  A match stops before the first token the grammar
+does not allow there, and the error points at that token, or, when it is an
+operator missing its operand, at the token after it.  Each term's monomial is
+written once, and variables past ``MAX_COORDINATES`` are rejected.  Parse
+errors carry the offending position for caret-style reporting; a number
 longer than the interpreter's int/str conversion limit is one too.
 """
 
@@ -21,15 +28,30 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .maps import ArityProfile, PolyMap
 from .poly import Coefficient, Polynomial, _accumulate
 
 MAX_COORDINATES = 1000
 
-# no token matches whitespace, so the search itself skips it
-_TOKEN_RE = re.compile(r"(?P<var>x\d+)|(?P<num>\d+)|(?P<sym>[-+*/^(),])|(?P<bad>\S)")
+# a character that starts no token: not whitespace, a digit, a symbol or an x
+# before a digit
+_BAD_RE = re.compile(r"x(?!\d)|[^\s\dx+*/^(),-]")
+_SPACE_RE = re.compile(r"\s*")
+# factor := var ('^' nat)?, as (variable index, exponent or "")
+_FACTOR = r"x\d+(?:\s*\^\s*\d+)?"
+_FACTOR_RE = re.compile(r"x(\d+)(?:\s*\^\s*(\d+))?")
+# term := coeff ('*' factor)* | factor ('*' factor)*, after its sign if any;
+# every group is optional, so a term that breaks the grammar still matches
+# up to the token that breaks it
+_TERM_RE = re.compile(rf"""
+    \s*(?P<sign>[-+]?)\s*
+    (?:(?P<num>\d+)(?:\s*/\s*(?P<den>\d+))?)?
+    (?P<factors>(?(num)|{_FACTOR})(?:\s*\*\s*{_FACTOR})*)?
+    \s*""", re.VERBOSE)
+# a number as int() reads it, with the x of a variable index
+_NUMBER_RE = re.compile(r"x?(\d+)")
 
 
 class ParseError(ValueError):
@@ -47,122 +69,128 @@ class ParseError(ValueError):
 _RawTerm = tuple[Coefficient, list[tuple[int, int]]]
 
 
-class _Parser:
-    def __init__(self, source: str):
-        self.source = source
-        # (kind, text, position); kind is "var", "num", "end" or the symbol
-        self.tokens: list[tuple[str, str, int]] = []
-        for m in _TOKEN_RE.finditer(source):
-            kind = m.lastgroup
-            text, pos = m.group(), m.start()
-            if kind == "bad":
-                raise ParseError(f"unexpected character {text!r}", source, pos)
-            self.tokens.append((text if kind == "sym" else kind, text, pos))
-        self.tokens.append(("end", "", len(source)))
-        self.i = 0
-        self.max_var, self.max_var_pos = 0, 0  # highest 1-based variable index seen, and where
+def _token(source: str, pos: int) -> int:
+    """The position of the first token at or after ``pos``, or the end."""
+    return _SPACE_RE.match(source, pos).end()
 
-    def at(self, *kinds: str) -> bool:
-        return self.tokens[self.i][0] in kinds
 
-    def take(self, kind: str | None = None) -> tuple[str, str, int]:
-        tok = self.tokens[self.i]
-        if kind is not None and tok[0] != kind:
-            raise ParseError(f"expected {kind!r}", self.source, tok[2])
-        self.i += 1
-        return tok
+# poly := ['-'] term (('+' | '-') term)*
+def _poly(source: str, pos: int) -> tuple[list[_RawTerm], int, int]:
+    """The terms of the polynomial at ``pos``, the position of the token after
+    it and the highest 1-based variable index it uses."""
+    terms: list[_RawTerm] = []
+    top, first = 0, True
+    while True:
+        m = _TERM_RE.match(source, pos)
+        sign, num, den, factors = m.groups()
+        if first and sign == "+" or num is None and factors is None:
+            raise ParseError("expected a coefficient or a variable", source,
+                             m.start("sign") if first and sign == "+" else m.end())
+        # coeff := nat ('/' posnat)?, an int when the denominator divides it
+        coeff = 1 if num is None else int(num)
+        if den is not None:
+            d = int(den)
+            if not d:
+                raise ParseError("zero denominator", source, m.start("den"))
+            coeff = coeff // d if coeff % d == 0 else Fraction(coeff, d)
+        pairs = []
+        for f in _FACTOR_RE.finditer(factors):
+            index, exp = f.groups()
+            i = int(index)
+            if not 0 < i <= MAX_COORDINATES:
+                raise ParseError("variables are numbered from x1" if i == 0 else
+                                 f"x{i} exceeds the cap of {MAX_COORDINATES} coordinates",
+                                 source, m.start("factors") + f.start())
+            if i > top:
+                top = i
+            pairs.append((i - 1, int(exp) if exp else 1))
+        terms.append((-coeff if sign == "-" else coeff, pairs))
+        pos = m.end()
+        op = source[pos:pos + 1]
+        if op == "+" or op == "-":
+            first = False
+            continue
+        # an operator missing its operand: '*' always, '^' after a variable
+        # with no exponent (exp is the last factor's), '/' after a numerator
+        if (op == "*" or op == "^" and factors and not exp
+                or op == "/" and den is None and factors == ""):
+            raise ParseError("expected 'var'" if op == "*" else "expected 'num'",
+                             source, _token(source, pos + 1))
+        return terms, pos, top
 
-    def number(self, digits: str, pos: int) -> int:
-        """The value of a number token at ``pos``; one longer than the
-        interpreter's int/str conversion limit is a parse error there."""
-        try:
-            return int(digits)
-        except ValueError as err:
-            raise ParseError(str(err), self.source, pos) from None
 
+def _read_map(source: str) -> tuple[list[list[_RawTerm]], int]:
     # map := '(' [ poly (',' poly)* ] ')'
-    def map(self) -> list[list[_RawTerm]]:
-        self.take("(")
-        polys = [] if self.at(")") else [self.poly()]
-        while self.at(","):
-            self.take()
-            polys.append(self.poly())
-        self.take(")")
-        self.take("end")
-        return polys
+    pos = _token(source, 0)
+    if source[pos:pos + 1] != "(":
+        raise ParseError("expected '('", source, pos)
+    pos, polys, top = _token(source, pos + 1), [], 0
+    if source[pos:pos + 1] != ")":
+        while True:
+            terms, pos, t = _poly(source, pos)
+            polys.append(terms)
+            top = max(top, t)
+            if source[pos:pos + 1] != ",":
+                break
+            pos += 1
+        if source[pos:pos + 1] != ")":
+            raise ParseError("expected ')'", source, pos)
+    end = _token(source, pos + 1)
+    if end != len(source):
+        raise ParseError("expected 'end'", source, end)
+    return polys, top
 
-    # poly := ['-'] term (('+' | '-') term)*
-    def poly(self) -> list[_RawTerm]:
-        terms = [self.term(signed=self.at("-"))]
-        while self.at("+", "-"):
-            terms.append(self.term(signed=True))
-        return terms
 
-    # term := coeff ('*' factor)* | factor ('*' factor)*, after its sign if signed
-    def term(self, signed: bool) -> _RawTerm:
-        negative = signed and self.take()[0] == "-"
-        if self.at("num"):
-            coeff, factors = self.coeff(), []
-        elif self.at("var"):
-            coeff, factors = 1, [self.factor()]
-        else:
-            raise ParseError("expected a coefficient or a variable", self.source,
-                             self.tokens[self.i][2])
-        while self.at("*"):
-            self.take()
-            factors.append(self.factor())
-        return (-coeff if negative else coeff), factors
+def _read_polynomial(source: str) -> tuple[list[list[_RawTerm]], int]:
+    terms, pos, top = _poly(source, 0)
+    if pos != len(source):
+        raise ParseError("expected 'end'", source, pos)
+    return [terms], top
 
-    # coeff := nat ('/' posnat)?, an int when the denominator divides it
-    def coeff(self) -> Coefficient:
-        num = self.number(*self.take("num")[1:])
-        if not self.at("/"):
-            return num
-        self.take()
-        _, text, pos = self.take("num")
-        den = self.number(text, pos)
-        if den == 0:
-            raise ParseError("zero denominator", self.source, pos)
-        return num // den if num % den == 0 else Fraction(num, den)
 
-    # factor := var ('^' nat)?
-    def factor(self) -> tuple[int, int]:
-        _, text, pos = self.take("var")
-        index = self.number(text[1:], pos)
-        if index == 0:
-            raise ParseError("variables are numbered from x1", self.source, pos)
-        if index > MAX_COORDINATES:
-            raise ParseError(f"x{index} exceeds the cap of {MAX_COORDINATES} coordinates",
-                             self.source, pos)
-        if index > self.max_var:
-            self.max_var, self.max_var_pos = index, pos
-        if not self.at("^"):
-            return index - 1, 1
-        self.take()
-        return index - 1, self.number(*self.take("num")[1:])
+def _read(source: str, reader: Callable[[str], tuple[list[list[_RawTerm]], int]]):
+    """The raw polynomials ``reader`` reads from ``source`` and their highest
+    variable index, after checking that every character starts a token."""
+    bad = _BAD_RE.search(source)
+    if bad:
+        raise ParseError(f"unexpected character {bad.group()!r}", source, bad.start())
+    try:
+        return reader(source)
+    except ParseError:
+        raise
+    except ValueError:
+        # int() refused a number past the interpreter's int/str conversion
+        # limit; numbers are read in source order, so it is the first it refuses
+        for n in _NUMBER_RE.finditer(source):
+            try:
+                int(n[1])
+            except ValueError as err:
+                raise ParseError(str(err), source, n.start()) from None
+        raise
 
-    def build(self, raws: list[list[_RawTerm]], dim: int, declared: str) -> tuple[Polynomial, ...]:
-        """The parsed polynomials in ``dim`` coordinates; ``declared`` states ``dim`` in errors."""
-        if self.max_var > dim:
-            raise ParseError(f"uses x{self.max_var} but {declared}", self.source, self.max_var_pos)
 
-        def monomials(raw: list[_RawTerm]):
-            for coeff, factors in raw:
-                mono = [0] * dim
-                for i, e in factors:
-                    mono[i] += e
-                yield tuple(mono), coeff
+def _build(source: str, raws: list[list[_RawTerm]], top: int, dim: int,
+           declared: str) -> tuple[Polynomial, ...]:
+    """The parsed polynomials in ``dim`` coordinates; ``declared`` states ``dim`` in errors."""
+    if top > dim:
+        first = next(f.start() for f in _FACTOR_RE.finditer(source) if int(f[1]) == top)
+        raise ParseError(f"uses x{top} but {declared}", source, first)
 
-        return tuple(_accumulate(dim, monomials(raw)) for raw in raws)
+    def monomials(raw: list[_RawTerm]):
+        for coeff, factors in raw:
+            mono = [0] * dim
+            for i, e in factors:
+                mono[i] += e
+            yield tuple(mono), coeff
+
+    return tuple(_accumulate(dim, monomials(raw)) for raw in raws)
 
 
 def parse_polynomial(source: str, dim: int | None = None) -> Polynomial:
     """Parse one polynomial; the coordinate count is declared or inferred."""
-    parser = _Parser(source)
-    raw = parser.poly()
-    parser.take("end")
-    dim = parser.max_var if dim is None else dim
-    return parser.build([raw], dim, f"only {dim} coordinates are declared")[0]
+    raws, top = _read(source, _read_polynomial)
+    dim = top if dim is None else dim
+    return _build(source, raws, top, dim, f"only {dim} coordinates are declared")[0]
 
 
 def parse_map(source: str, blocks: Sequence[int] | None = None) -> PolyMap:
@@ -171,8 +199,7 @@ def parse_map(source: str, blocks: Sequence[int] | None = None) -> PolyMap:
     With ``blocks`` the domain profile is declared; otherwise the domain is a
     single block whose dimension is the highest variable index used.
     """
-    parser = _Parser(source)
-    raws = parser.map()
-    profile = ArityProfile((parser.max_var,) if blocks is None else tuple(blocks))
+    raws, top = _read(source, _read_map)
+    profile = ArityProfile((top,) if blocks is None else tuple(blocks))
     dim = profile.total
-    return PolyMap(profile, parser.build(raws, dim, f"declared blocks cover {dim} coordinates"))
+    return PolyMap(profile, _build(source, raws, top, dim, f"declared blocks cover {dim} coordinates"))

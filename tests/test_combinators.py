@@ -367,3 +367,23 @@ def test_kernel_skips_a_term_by_its_degree_in_block_j_only(order):
                 got = _partial(f, j, reverse, order)
                 assert got == _steps(f, j, reverse, order)
                 assert got.is_zero() == (terms is vanish)
+
+
+def test_kernel_emits_each_monomial_once_in_canonical_order():
+    # each output is a list the kernel appends to and sorts, with no merging:
+    # summing a coordinate with nothing else merges and re-sorts its terms, so
+    # it is the identity only if no monomial was emitted twice and the terms
+    # are in canonical order
+    rng = random.Random(57)
+    cfg = CorpusConfig()
+    emitted = 0
+    for _ in range(40):
+        prof = random_profile(rng, cfg)
+        f = random_map(rng, prof, rng.randint(1, 3), 5, 6)
+        for j in range(1, prof.block_count + 1):
+            for reverse in (True, False):
+                for order in range(1, 5):
+                    for p in _partial(f, j, reverse, order).coords:
+                        assert Polynomial.sum(p.dim, [p]) == p
+                        emitted += len(p.terms)
+    assert emitted > 1000

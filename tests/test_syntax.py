@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 
 from revderiv.corpus import CorpusConfig, random_map, random_profile
 from revderiv.maps import ArityProfile, PolyMap
-from revderiv.poly import Polynomial
-from revderiv.syntax import MAX_COORDINATES, ParseError, _Parser, parse_map, parse_polynomial
+from revderiv.poly import Coefficient, Polynomial, _accumulate
+from revderiv.syntax import MAX_COORDINATES, ParseError, parse_map, parse_polynomial
 from revderiv.towers import reverse_tower
 
 
@@ -88,6 +88,21 @@ def test_parse_errors_carry_positions():
     # the whole source is tokenized before any grammar rule runs
     (parse_map, ("(x1 +, $)",), "unexpected character '$'", 7),
     (parse_map, ("(x1\u00a0?)",), "unexpected character '?'", 4),
+    # a variable index in other Unicode digits (x\u0663 is x3), and one with
+    # a leading zero: the error points at the highest index's first occurrence
+    (parse_map, ("(x1*x\u0663, x2)", (1, 1)), "uses x3 but declared blocks cover 2 coordinates", 4),
+    (parse_map, ("(x\u0660)",), "variables are numbered from x1", 1),
+    (parse_map, ("(x2 + x03, x3)", (1, 1)), "uses x3 but declared blocks cover 2 coordinates", 6),
+    # an operator after a term that is complete is a grammar error at the
+    # operator; one missing its operand is an error at the token after it
+    (parse_map, ("(2^3)",), "expected ')'", 2),
+    (parse_map, ("(x1^2 ^3)",), "expected ')'", 6),
+    (parse_map, ("(1/2/3)",), "expected ')'", 4),
+    (parse_map, ("(x1/2)",), "expected ')'", 3),
+    (parse_map, ("(1/ )",), "expected 'num'", 4),
+    (parse_map, ("(x1^2*x2 ^)",), "expected 'num'", 10),
+    (parse_map, ("(x1 *  )",), "expected 'var'", 7),
+    (parse_map, ("(+x1)",), "expected a coefficient or a variable", 1),
 ])
 def test_parse_error_messages_and_positions(parse, args, message, position):
     with pytest.raises(ParseError) as err:
@@ -218,11 +233,184 @@ def _old_tokens(source):
     return tokens + [("end", "", len(source))]
 
 
-@given(st.text(alphabet=st.sampled_from("x0123456789+-*/^(), \t\n\r\x0b\x0c\xa0\u2003\u3000y.=é"),
-               max_size=60) | st.text(max_size=30))
+# the earlier tests' alphabets: the grammar's characters, Unicode whitespace and
+# characters that start no token
+_CHARS = st.text(
+    alphabet=st.sampled_from("x0123456789+-*/^(), \t\n\r\x0b\x0c\xa0\u2003\u3000y.=é"), max_size=60,
+) | st.text(max_size=30)
+
+
+@given(_CHARS)
 def test_tokens_match_the_earlier_regex(source):
+    # a bad character anywhere is reported before any grammar error, and
+    # nothing else is
+    old = _old_tokens(source)
     try:
-        got = _Parser(source).tokens
+        parse_map(source)
     except ParseError as err:
-        got = err.message, err.position
-    assert got == _old_tokens(source)
+        if isinstance(old, tuple):
+            assert (err.message, err.position) == old
+        else:
+            assert not err.message.startswith("unexpected character")
+    else:
+        assert isinstance(old, list)
+
+
+# -- the reference parser -----------------------------------------------------------
+# The token-list recursive-descent parser that src/ used before it read one
+# regex match per term, kept verbatim as the oracle for the fast path.
+
+_TOKEN_RE = re.compile(r"(?P<var>x\d+)|(?P<num>\d+)|(?P<sym>[-+*/^(),])|(?P<bad>\S)")
+_RawTerm = tuple[Coefficient, list[tuple[int, int]]]
+
+
+class _Parser:
+    def __init__(self, source: str):
+        self.source = source
+        # (kind, text, position); kind is "var", "num", "end" or the symbol
+        self.tokens: list[tuple[str, str, int]] = []
+        for m in _TOKEN_RE.finditer(source):
+            kind = m.lastgroup
+            text, pos = m.group(), m.start()
+            if kind == "bad":
+                raise ParseError(f"unexpected character {text!r}", source, pos)
+            self.tokens.append((text if kind == "sym" else kind, text, pos))
+        self.tokens.append(("end", "", len(source)))
+        self.i = 0
+        self.max_var, self.max_var_pos = 0, 0  # highest 1-based variable index seen, and where
+
+    def at(self, *kinds: str) -> bool:
+        return self.tokens[self.i][0] in kinds
+
+    def take(self, kind: str | None = None) -> tuple[str, str, int]:
+        tok = self.tokens[self.i]
+        if kind is not None and tok[0] != kind:
+            raise ParseError(f"expected {kind!r}", self.source, tok[2])
+        self.i += 1
+        return tok
+
+    def number(self, digits: str, pos: int) -> int:
+        """The value of a number token at ``pos``; one longer than the
+        interpreter's int/str conversion limit is a parse error there."""
+        try:
+            return int(digits)
+        except ValueError as err:
+            raise ParseError(str(err), self.source, pos) from None
+
+    # map := '(' [ poly (',' poly)* ] ')'
+    def map(self) -> list[list[_RawTerm]]:
+        self.take("(")
+        polys = [] if self.at(")") else [self.poly()]
+        while self.at(","):
+            self.take()
+            polys.append(self.poly())
+        self.take(")")
+        self.take("end")
+        return polys
+
+    # poly := ['-'] term (('+' | '-') term)*
+    def poly(self) -> list[_RawTerm]:
+        terms = [self.term(signed=self.at("-"))]
+        while self.at("+", "-"):
+            terms.append(self.term(signed=True))
+        return terms
+
+    # term := coeff ('*' factor)* | factor ('*' factor)*, after its sign if signed
+    def term(self, signed: bool) -> _RawTerm:
+        negative = signed and self.take()[0] == "-"
+        if self.at("num"):
+            coeff, factors = self.coeff(), []
+        elif self.at("var"):
+            coeff, factors = 1, [self.factor()]
+        else:
+            raise ParseError("expected a coefficient or a variable", self.source,
+                             self.tokens[self.i][2])
+        while self.at("*"):
+            self.take()
+            factors.append(self.factor())
+        return (-coeff if negative else coeff), factors
+
+    # coeff := nat ('/' posnat)?, an int when the denominator divides it
+    def coeff(self) -> Coefficient:
+        num = self.number(*self.take("num")[1:])
+        if not self.at("/"):
+            return num
+        self.take()
+        _, text, pos = self.take("num")
+        den = self.number(text, pos)
+        if den == 0:
+            raise ParseError("zero denominator", self.source, pos)
+        return num // den if num % den == 0 else Fraction(num, den)
+
+    # factor := var ('^' nat)?
+    def factor(self) -> tuple[int, int]:
+        _, text, pos = self.take("var")
+        index = self.number(text[1:], pos)
+        if index == 0:
+            raise ParseError("variables are numbered from x1", self.source, pos)
+        if index > MAX_COORDINATES:
+            raise ParseError(f"x{index} exceeds the cap of {MAX_COORDINATES} coordinates",
+                             self.source, pos)
+        if index > self.max_var:
+            self.max_var, self.max_var_pos = index, pos
+        if not self.at("^"):
+            return index - 1, 1
+        self.take()
+        return index - 1, self.number(*self.take("num")[1:])
+
+    def build(self, raws: list[list[_RawTerm]], dim: int, declared: str) -> tuple[Polynomial, ...]:
+        """The parsed polynomials in ``dim`` coordinates; ``declared`` states ``dim`` in errors."""
+        if self.max_var > dim:
+            raise ParseError(f"uses x{self.max_var} but {declared}", self.source, self.max_var_pos)
+
+        def monomials(raw: list[_RawTerm]):
+            for coeff, factors in raw:
+                mono = [0] * dim
+                for i, e in factors:
+                    mono[i] += e
+                yield tuple(mono), coeff
+
+        return tuple(_accumulate(dim, monomials(raw)) for raw in raws)
+
+
+def reference_parse_polynomial(source, dim=None):
+    parser = _Parser(source)
+    raw = parser.poly()
+    parser.take("end")
+    dim = parser.max_var if dim is None else dim
+    return parser.build([raw], dim, f"only {dim} coordinates are declared")[0]
+
+
+def reference_parse_map(source, blocks=None):
+    parser = _Parser(source)
+    raws = parser.map()
+    profile = ArityProfile((parser.max_var,) if blocks is None else tuple(blocks))
+    dim = profile.total
+    return PolyMap(profile, parser.build(raws, dim, f"declared blocks cover {dim} coordinates"))
+
+
+def _outcome(parse, *args):
+    """What a parse returns, or the message and position of its ParseError."""
+    try:
+        return parse(*args)
+    except ParseError as err:
+        return err.message, err.position
+
+
+# pieces of terms, so that draws often parse and reach every grammar rule;
+# x\u0663 is x3, and x03 names x3 too
+_PIECES = st.lists(st.sampled_from(
+    ["x1", "x2^2", "x\u0663", "x03", "2*", "1/2*", "4/2", "*x3", " ^ 3", " + ", " - ", ", ", "-",
+     "7", "*", "^", "/", "x0", "x1001", "1/0", "\xa0"]), max_size=12).map("".join)
+_MAPS = _CHARS | _PIECES.map(lambda body: f"({body})")
+
+
+@given(_MAPS, st.none() | st.lists(st.integers(0, 3), min_size=1, max_size=3))
+def test_parse_map_matches_the_reference_parser(source, blocks):
+    assert _outcome(parse_map, source, blocks) == _outcome(reference_parse_map, source, blocks)
+
+
+@given(_CHARS | _PIECES, st.none() | st.integers(0, 4))
+def test_parse_polynomial_matches_the_reference_parser(source, dim):
+    assert (_outcome(parse_polynomial, source, dim)
+            == _outcome(reference_parse_polynomial, source, dim))
