@@ -48,20 +48,6 @@ def _check_cap(name: str, value: int, cap: int, remedy: str) -> None:
         raise _Refused(f"{name} {value} exceeds the cap {cap}; {remedy}")
 
 
-@contextlib.contextmanager
-def _any_int_length():
-    """Lift the interpreter's limit on int/str conversions (Python >= 3.10.7)
-    for a while: exact coefficients such as 2000! have more digits than it allows."""
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if limit:
-        sys.set_int_max_str_digits(0)
-    try:
-        yield
-    finally:
-        if limit:
-            sys.set_int_max_str_digits(limit)
-
-
 def _read_expr(text: str) -> str:
     if text == "-":
         return sys.stdin.read().strip()
@@ -303,7 +289,7 @@ def main(argv: list[str] | None = None) -> int:
     # closes the pipe early cannot change the exit status
     out = io.StringIO()
     try:
-        with _any_int_length(), contextlib.redirect_stdout(out):
+        with contextlib.redirect_stdout(out):
             code = args.func(args)
     except (_Refused, ParseError) as err:
         message, *lines = err.args if isinstance(err, _Refused) else (err.message, err.caret_text())

@@ -16,6 +16,8 @@ from .maps import ArityProfile, PolyMap
 from .poly import Coefficient, Polynomial, _accumulate
 
 COEFF_POOL = tuple(range(-3, 4)) + (Fraction(1, 2),)
+MAX_BLOCKS = 3  # blocks in a random profile
+MAX_TERMS = 4  # terms drawn per random polynomial
 
 
 @dataclass(frozen=True)
@@ -23,8 +25,6 @@ class CorpusConfig:
     max_dim: int = 3
     max_degree: int = 3
     max_order: int = 3
-    max_blocks: int = 3
-    max_terms: int = 4
 
 
 def random_monomial(rng: random.Random, dim: int, max_degree: int) -> tuple[int, ...]:
@@ -35,14 +35,15 @@ def random_monomial(rng: random.Random, dim: int, max_degree: int) -> tuple[int,
     return tuple(exps)
 
 
-def random_polynomial(rng: random.Random, dim: int, max_degree: int, max_terms: int = 4) -> Polynomial:
+def random_polynomial(rng: random.Random, dim: int, max_degree: int,
+                      max_terms: int = MAX_TERMS) -> Polynomial:
     # a seed fixes the corpus only while each term draws its monomial, then its coefficient
     return _accumulate(dim, ((random_monomial(rng, dim, max_degree), rng.choice(COEFF_POOL))
                              for _ in range(rng.randint(1, max_terms))))
 
 
 def random_map(rng: random.Random, profile: ArityProfile, codomain_dim: int,
-               max_degree: int, max_terms: int = 4) -> PolyMap:
+               max_degree: int, max_terms: int = MAX_TERMS) -> PolyMap:
     dim = profile.total
     return PolyMap(
         profile,
@@ -51,7 +52,7 @@ def random_map(rng: random.Random, profile: ArityProfile, codomain_dim: int,
 
 
 def random_profile(rng: random.Random, cfg: CorpusConfig) -> ArityProfile:
-    count = rng.randint(1, cfg.max_blocks)
+    count = rng.randint(1, MAX_BLOCKS)
     return ArityProfile(tuple(rng.randint(1, cfg.max_dim) for _ in range(count)))
 
 
@@ -61,7 +62,7 @@ def random_single_block_map(rng: random.Random, cfg: CorpusConfig,
         dim = rng.randint(1, cfg.max_dim)
     if codomain_dim is None:
         codomain_dim = rng.randint(1, cfg.max_dim)
-    return random_map(rng, ArityProfile((dim,)), codomain_dim, cfg.max_degree, cfg.max_terms)
+    return random_map(rng, ArityProfile((dim,)), codomain_dim, cfg.max_degree)
 
 
 def random_context_map(rng: random.Random, cfg: CorpusConfig,
@@ -70,7 +71,7 @@ def random_context_map(rng: random.Random, cfg: CorpusConfig,
     profile = ArityProfile(tuple(rng.randint(1, cfg.max_dim) for _ in range(3)))
     if codomain_dim is None:
         codomain_dim = rng.randint(1, cfg.max_dim)
-    return random_map(rng, profile, codomain_dim, cfg.max_degree, cfg.max_terms)
+    return random_map(rng, profile, codomain_dim, cfg.max_degree)
 
 
 def random_dlinear_map(rng: random.Random, profile: ArityProfile, j: int,
@@ -85,7 +86,7 @@ def random_dlinear_map(rng: random.Random, profile: ArityProfile, j: int,
         terms = []
         for i in block:
             # x_i times a coefficient monomial over the other coordinates only
-            for _ in range(rng.randint(0, cfg.max_terms - 1)):
+            for _ in range(rng.randint(0, MAX_TERMS - 1)):
                 exps = [0] * dim
                 exps[i] = 1
                 for _ in range(rng.randint(0, cfg.max_degree - 1)):
@@ -99,8 +100,8 @@ def random_dlinear_map(rng: random.Random, profile: ArityProfile, j: int,
 def random_composable_pair(rng: random.Random, cfg: CorpusConfig) -> tuple[PolyMap, PolyMap]:
     """Single-block f : A -> B and g : B -> C that compose."""
     a, b, c = (rng.randint(1, cfg.max_dim) for _ in range(3))
-    f = random_map(rng, ArityProfile((a,)), b, cfg.max_degree, cfg.max_terms)
-    g = random_map(rng, ArityProfile((b,)), c, cfg.max_degree, cfg.max_terms)
+    f = random_map(rng, ArityProfile((a,)), b, cfg.max_degree)
+    g = random_map(rng, ArityProfile((b,)), c, cfg.max_degree)
     return f, g
 
 

@@ -289,7 +289,7 @@ def law_schwarz(rng: random.Random, cfg: CorpusConfig) -> LawFailure | None:
 def law_partial_pairing(rng: random.Random, cfg: CorpusConfig) -> LawFailure | None:
     """The tuple of the per-block partial reverse derivatives is the total."""
     prof = random_profile(rng, cfg)
-    f = random_map(rng, prof, rng.randint(1, cfg.max_dim), cfg.max_degree, cfg.max_terms)
+    f = random_map(rng, prof, rng.randint(1, cfg.max_dim), cfg.max_degree)
     parts = [partial_reverse(f, j) for j in range(1, prof.block_count + 1)]
     total = reblock(reverse_derivative(flatten(f)), prof.concat(f.codomain_dim))
     return _cmp("partial-pairing", [f], pair(parts), total)
@@ -301,7 +301,7 @@ def law_partial_pairing(rng: random.Random, cfg: CorpusConfig) -> LawFailure | N
 def law_ctx_rd1(rng: random.Random, cfg: CorpusConfig) -> LawFailure | None:
     cod = rng.randint(1, cfg.max_dim)
     f = random_context_map(rng, cfg, cod)
-    g = random_map(rng, f.domain, cod, cfg.max_degree, cfg.max_terms)
+    g = random_map(rng, f.domain, cod, cfg.max_degree)
     s, t = random_scalar(rng), random_scalar(rng)
     return _linearity("ctx-rd1", f, g, s, t, 2)
 
@@ -328,7 +328,7 @@ def law_ctx_rd4(rng: random.Random, cfg: CorpusConfig) -> LawFailure | None:
     f0 = random_context_map(rng, cfg, rng.randint(1, 2))
     k = rng.randint(1, 3)
     fs = [f0] + [
-        random_map(rng, f0.domain, rng.randint(1, 2), cfg.max_degree, cfg.max_terms)
+        random_map(rng, f0.domain, rng.randint(1, 2), cfg.max_degree)
         for _ in range(k - 1)
     ]
     return _tuple_rule("ctx-rd4", fs, 2)
@@ -338,7 +338,7 @@ def law_ctx_rd5(rng: random.Random, cfg: CorpusConfig) -> LawFailure | None:
     f = random_context_map(rng, cfg)
     c1, _, c2 = f.domain.blocks
     e = rng.randint(1, cfg.max_dim)
-    g = random_map(rng, ArityProfile((c1, f.codomain_dim, c2)), e, cfg.max_degree, cfg.max_terms)
+    g = random_map(rng, ArityProfile((c1, f.codomain_dim, c2)), e, cfg.max_degree)
     return _chain("ctx-rd5", f, g, 2)
 
 
@@ -405,7 +405,7 @@ def law_dagger_base_independence(rng: random.Random, cfg: CorpusConfig) -> LawFa
 
 def law_dagger_partial(rng: random.Random, cfg: CorpusConfig) -> LawFailure | None:
     prof = random_profile(rng, cfg)
-    f = random_map(rng, prof, rng.randint(1, cfg.max_dim), cfg.max_degree, cfg.max_terms)
+    f = random_map(rng, prof, rng.randint(1, cfg.max_dim), cfg.max_degree)
     return _transpose_of_forward("dagger-partial", f, rng.randint(1, prof.block_count))
 
 

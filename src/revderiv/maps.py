@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Mapping, Sequence
 
 from .poly import Coefficient, Polynomial
@@ -34,12 +35,9 @@ class ArityProfile:
     def __post_init__(self) -> None:
         if not self.blocks:
             raise ValueError("a profile needs at least one block")
-        if any(d < 0 for d in self.blocks):
+        if min(self.blocks) < 0:
             raise ValueError(f"negative block dimension in {self.blocks}")
-        starts = [0]
-        for d in self.blocks:
-            starts.append(starts[-1] + d)
-        object.__setattr__(self, "_starts", tuple(starts))
+        object.__setattr__(self, "_starts", tuple(accumulate(self.blocks, initial=0)))
 
     @property
     def total(self) -> int:

@@ -23,8 +23,12 @@ re-indexing by a permutation relabels each monomial and sorts once, with
 nothing to merge.  One printer body serves ``str`` and callers that print
 many polynomials together and share a table of monomial texts; it finds a
 monomial's nonzero exponents with ``itertools.compress``, so a wide sparse
-monomial costs by its variables, and it prints integers of any length, past
-the interpreter's int/str digit limit.
+monomial costs by its variables.
+
+Integers of any length, past the interpreter's int/str digit limit, are
+converted here alone: :func:`_digits` prints the printer's numbers and
+:func:`_integer` reads the parser's, through ``decimal.Decimal``, which is
+exact and has no such limit, when ``str`` or ``int`` refuses.
 """
 
 from __future__ import annotations
@@ -40,6 +44,22 @@ from typing import Iterable, Mapping, Sequence
 
 Monomial = tuple[int, ...]
 Coefficient = int | Fraction
+
+
+def _digits(n: int) -> str:
+    """The decimal text of ``n``, of any length."""
+    try:
+        return str(n)
+    except ValueError:
+        return str(Decimal(n))
+
+
+def _integer(text: str) -> int:
+    """The int that the decimal ``text`` spells, of any length."""
+    try:
+        return int(text)
+    except ValueError:
+        return int(Decimal(text))
 
 
 def _graded(term: tuple[Monomial, Coefficient]) -> tuple[int, Monomial]:
@@ -303,15 +323,10 @@ def _text(p: Polynomial, names: dict[Monomial, str] | None = None) -> str:
     for mono, coeff in p.terms:
         # an int coefficient has these too, with denominator 1
         num, den = coeff.numerator, coeff.denominator
-        try:
-            body = str(abs(num)) if den == 1 else f"{abs(num)}/{den}"
-        except ValueError:
-            # past the interpreter's limit on int/str conversions: Decimal
-            # converts an int exactly and has no such limit
-            body = str(Decimal(abs(num))) if den == 1 else f"{Decimal(abs(num))}/{Decimal(den)}"
+        body = _digits(abs(num)) if den == 1 else f"{_digits(abs(num))}/{_digits(den)}"
         factors = None if names is None else names.get(mono)
         if factors is None:
-            factors = "*".join([f"x{i}" if mono[i - 1] == 1 else f"x{i}^{mono[i - 1]}"
+            factors = "*".join([f"x{i}" if mono[i - 1] == 1 else f"x{i}^{_digits(mono[i - 1])}"
                                 for i in compress(count(1), mono)])
             if names is not None:
                 names[mono] = factors

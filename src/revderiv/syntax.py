@@ -20,8 +20,10 @@ one ``finditer`` splits.  A match stops before the first token the grammar
 does not allow there, and the error points at that token, or, when it is an
 operator missing its operand, at the token after it.  Each term's monomial is
 written once, and variables past ``MAX_COORDINATES`` are rejected.  Parse
-errors carry the offending position for caret-style reporting; a number
-longer than the interpreter's int/str conversion limit is one too.
+errors carry the offending position for caret-style reporting.  Numbers may
+have any number of digits: each is read by ``poly._integer``, which reads
+past the interpreter's int/str conversion limit, so whatever the printer
+writes parses back.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from .maps import ArityProfile, PolyMap
-from .poly import Coefficient, Polynomial, _accumulate
+from .poly import Coefficient, Polynomial, _accumulate, _digits, _integer
 
 MAX_COORDINATES = 1000
 
@@ -50,8 +52,6 @@ _TERM_RE = re.compile(rf"""
     (?:(?P<num>\d+)(?:\s*/\s*(?P<den>\d+))?)?
     (?P<factors>(?(num)|{_FACTOR})(?:\s*\*\s*{_FACTOR})*)?
     \s*""", re.VERBOSE)
-# a number as int() reads it, with the x of a variable index
-_NUMBER_RE = re.compile(r"x?(\d+)")
 
 
 class ParseError(ValueError):
@@ -87,23 +87,23 @@ def _poly(source: str, pos: int) -> tuple[list[_RawTerm], int, int]:
             raise ParseError("expected a coefficient or a variable", source,
                              m.start("sign") if first and sign == "+" else m.end())
         # coeff := nat ('/' posnat)?, an int when the denominator divides it
-        coeff = 1 if num is None else int(num)
+        coeff = 1 if num is None else _integer(num)
         if den is not None:
-            d = int(den)
+            d = _integer(den)
             if not d:
                 raise ParseError("zero denominator", source, m.start("den"))
             coeff = coeff // d if coeff % d == 0 else Fraction(coeff, d)
         pairs = []
         for f in _FACTOR_RE.finditer(factors):
             index, exp = f.groups()
-            i = int(index)
+            i = _integer(index)
             if not 0 < i <= MAX_COORDINATES:
                 raise ParseError("variables are numbered from x1" if i == 0 else
-                                 f"x{i} exceeds the cap of {MAX_COORDINATES} coordinates",
+                                 f"x{_digits(i)} exceeds the cap of {MAX_COORDINATES} coordinates",
                                  source, m.start("factors") + f.start())
             if i > top:
                 top = i
-            pairs.append((i - 1, int(exp) if exp else 1))
+            pairs.append((i - 1, _integer(exp) if exp else 1))
         terms.append((-coeff if sign == "-" else coeff, pairs))
         pos = m.end()
         op = source[pos:pos + 1]
@@ -154,26 +154,14 @@ def _read(source: str, reader: Callable[[str], tuple[list[list[_RawTerm]], int]]
     bad = _BAD_RE.search(source)
     if bad:
         raise ParseError(f"unexpected character {bad.group()!r}", source, bad.start())
-    try:
-        return reader(source)
-    except ParseError:
-        raise
-    except ValueError:
-        # int() refused a number past the interpreter's int/str conversion
-        # limit; numbers are read in source order, so it is the first it refuses
-        for n in _NUMBER_RE.finditer(source):
-            try:
-                int(n[1])
-            except ValueError as err:
-                raise ParseError(str(err), source, n.start()) from None
-        raise
+    return reader(source)
 
 
 def _build(source: str, raws: list[list[_RawTerm]], top: int, dim: int,
            declared: str) -> tuple[Polynomial, ...]:
     """The parsed polynomials in ``dim`` coordinates; ``declared`` states ``dim`` in errors."""
     if top > dim:
-        first = next(f.start() for f in _FACTOR_RE.finditer(source) if int(f[1]) == top)
+        first = next(f.start() for f in _FACTOR_RE.finditer(source) if _integer(f[1]) == top)
         raise ParseError(f"uses x{top} but {declared}", source, first)
 
     def monomials(raw: list[_RawTerm]):

@@ -9,6 +9,7 @@ import random
 import re
 import subprocess
 import sys
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
@@ -102,7 +103,7 @@ def test_derive_past_the_coordinate_cap_exits_2(capsys, monkeypatch):
 
 def test_derive_echoes_integers_of_any_length(capsys):
     # past the interpreter's default 4,300-digit limit on int/str conversions,
-    # which the CLI lifts only while it runs
+    # which the CLI leaves as it is
     text = "(" + "7" * 5000 + ")"
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     code, out, err = run_cli(capsys, "derive", "--map", text, "--order", "0")
@@ -155,8 +156,32 @@ def test_derive_deep_tower_below_the_degree(capsys, mode):
                                  "--order", str(order), "--mode", mode)
         assert code == 0 and err == ""
         term = re.fullmatch(r"\((\d+)(\*x\d+)+\)\n", out)
-        with cli._any_int_length():
-            assert term and int(term[1]) == math.factorial(order)
+        # Decimal reads a number past the interpreter's int/str digit limit
+        assert term and int(Decimal(term[1])) == math.factorial(order)
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="this interpreter has no limit on int/str conversions")
+def test_derive_leaves_the_int_str_limit_as_it_is(capsys, monkeypatch):
+    # under the default 4,300-digit limit, which the CLI must not change
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+
+    def refuse(digits):
+        raise AssertionError("the CLI changed the interpreter's int/str digit limit")
+
+    monkeypatch.setattr(sys, "set_int_max_str_digits", refuse)
+    try:
+        long = "7" * 5000
+        text = f"({long}*x1^{long} + 1/{long})"
+        assert run_cli(capsys, "derive", "--map", text, "--order", "0") == (0, text + "\n", "")
+        code, out, err = run_cli(capsys, "derive", "--map", "(x1^2000)", "--order", "2000")
+        assert code == 0 and err == ""
+        vectors = "*".join(f"x{i}" for i in range(2, 2002))
+        assert out == f"({Decimal(math.factorial(2000))}*{vectors})\n"
+    finally:
+        monkeypatch.undo()
+        sys.set_int_max_str_digits(limit)
 
 
 @pytest.mark.parametrize("mode", ["reverse", "forward"])
@@ -449,6 +474,10 @@ REFUSALS = [
      "error: uses x2 but declared blocks cover 1 coordinates\n(x1*x2)\n    ^\n"
      "(--g is read on the 1 outputs of --f, so that the two compose)\n"),
 ]
+if hasattr(sys, "get_int_max_str_digits"):
+    # past the interpreter's default int/str digit limit, as argparse refuses it for --seed
+    REFUSALS.append((["verify", "--suite", "rd-axioms", "--cases", "1"], {"RFDB_SEED": "7" * 5000},
+                     f"error: RFDB_SEED must be an integer, got '{'7' * 5000}'\n"))
 
 
 @pytest.mark.parametrize("argv, env, stderr", REFUSALS,

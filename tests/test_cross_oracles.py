@@ -187,7 +187,7 @@ def test_partials_in_every_block_match_shift_oracle(blocks, codomain):
     rng = random.Random(f"partials/{blocks}/{codomain}")
     profile = ArityProfile(blocks)
     for _ in range(8):
-        f = random_map(rng, profile, codomain, CFG.max_degree, CFG.max_terms)
+        f = random_map(rng, profile, codomain, CFG.max_degree)
         for j in range(1, len(blocks) + 1):
             assert partial_reverse(f, j) == shift_partials(f, j, reverse=True)
             assert partial_forward(f, j) == shift_partials(f, j, reverse=False)

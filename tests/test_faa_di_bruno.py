@@ -209,12 +209,11 @@ def corpus_pairs():
     """Composable corpus pairs whose inner map has a 2-dimensional domain: on a
     1-dimensional one, all summands of one shape are the same polynomial."""
     rng = random.Random(33)
-    cfg = CorpusConfig()
     pairs = []
     for _ in range(4):
         b, c = rng.randint(1, 2), rng.randint(1, 2)
-        f = random_map(rng, ArityProfile((2,)), b, 3, cfg.max_terms)
-        pairs.append((f, random_map(rng, ArityProfile((b,)), c, 3, cfg.max_terms)))
+        f = random_map(rng, ArityProfile((2,)), b, 3)
+        pairs.append((f, random_map(rng, ArityProfile((b,)), c, 3)))
     return pairs
 
 

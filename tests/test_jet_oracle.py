@@ -22,6 +22,7 @@ from test_faa_di_bruno import MODES, corpus_pairs, inverse_placement, same_shape
 
 from revderiv import faa_di_bruno
 from revderiv.faa_di_bruno import fdb_report
+from revderiv.syntax import parse_map
 
 
 def jet_product(p, q):
@@ -91,16 +92,25 @@ def expected_reverse(f, g, x, y, v, part):
             for i in range(len(x))]
 
 
+# the deep pair of CI's partition-sum step: degree 4 and 5, so that the oracle is
+# rarely the zero map
+DEEP_PAIR = (parse_map("(x1^3*x2 + x2^2, x1*x2 - x1^4)", blocks=(2,)),
+             parse_map("(x1^2*x2^3 + x1, x2^5)", blocks=(2,)))
+
+
 def jet_mismatches(mode):
-    """Checks of fdb_report's summands and totals, for the corpus pairs, n <= 3
-    and two random rational points each, and how many differ from the jets."""
+    """Checks of fdb_report's summands and totals, for the corpus pairs and the
+    deep pair, n <= 3 and two random nonzero rational points each: how many there are,
+    how many differ from the jets, and how many compare zero with zero."""
     rng = random.Random(34)
 
     def draw(dim):
-        return [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(dim)]
+        # nonzero coordinates, so that no point sits on a coordinate hyperplane
+        return [Fraction(rng.choice((-1, 1)) * rng.randint(1, 5), rng.randint(1, 4))
+                for _ in range(dim)]
 
-    checks = bad = 0
-    for f, g in corpus_pairs():
+    checks = bad = zeros = 0
+    for f, g in corpus_pairs() + [DEEP_PAIR]:
         a = f.domain.total
         for n in range(4):
             rep = fdb_report(f, g, n, mode)
@@ -123,13 +133,15 @@ def jet_mismatches(mode):
                 for fmap, value in zip(got, want):
                     checks += 1
                     bad += [jet[0] for jet in evaluate(fmap, [[c] for c in point])] != value
-    return checks, bad
+                    zeros += not any(value)
+    return checks, bad, zeros
 
 
 @MODES
 def test_summands_and_totals_match_the_jets(mode):
-    # 27 checks per pair and point: 1 + 2 + 5 + 15 summands and 4 totals
-    assert jet_mismatches(mode) == (216, 0)
+    # 27 checks per pair and point: 1 + 2 + 5 + 15 summands and 4 totals; the
+    # 95 that compare zero with zero are all on corpus pairs, none on the deep pair
+    assert jet_mismatches(mode) == (270, 0, 95)
 
 
 @MODES

@@ -291,6 +291,8 @@ def test_printing_past_the_int_str_limit():
         p = P(2, {(1, 0): Fraction(-2, 10**4999 + 1), (0, 0): 1})
         assert str(p) == f"-2/{den}*x1 + 1"
         assert str(Polynomial.constant(1, Fraction(1, 10**4999 + 1))) == f"1/{den}"
+        # a 5,000-digit exponent
+        assert str(P(2, {(0, 10**5000): 3})) == f"3*x2^{big}"
     finally:
         sys.set_int_max_str_digits(limit)
 
