@@ -2,7 +2,7 @@
 
 Subcommands:
 
-* ``derive``      print a derivative of a polynomial map
+* ``derive``      print a derivative of a polynomial map, in any block, of any order
 * ``verify``      run a law suite over a seeded random corpus
 * ``partitions``  list the set partitions of {1..n}
 * ``fdb``         evaluate a partition-sum chain rule against its oracle
@@ -22,6 +22,7 @@ import functools
 import io
 import json
 import os
+import re
 import sys
 
 from .corpus import CorpusConfig
@@ -30,7 +31,6 @@ from .faa_di_bruno import fdb_report
 from .laws import SUITE_NAMES, LawReport, run_suite
 from .partitions import enumerate_partitions
 from .syntax import MAX_COORDINATES, ParseError, parse_map
-from .towers import forward_tower, reverse_tower
 
 DEFAULT_FDB_CAP = 4
 DEFAULT_ORDER_CAP = 2000
@@ -75,24 +75,13 @@ def cmd_derive(args: argparse.Namespace) -> int:
         raise _Refused("--order must be nonnegative")
     # each order above the first is one more pass of the kernel
     _check_cap("--order", args.order, DEFAULT_ORDER_CAP, "derive builds no higher tower")
-    if args.partial is not None and args.order != 1:
-        raise _Refused("--partial applies to first derivatives (--order 1)")
+    if args.partial is None and args.order and f.domain.block_count != 1:
+        raise _Refused("total derivatives need a single-block domain; "
+                       "use --partial J or declare one block")
+    derivative = partial_reverse if args.mode == "reverse" else partial_forward
     try:
-        if args.order == 0:
-            result = f
-        elif args.partial is not None:
-            if args.mode == "reverse":
-                result = partial_reverse(f, args.partial)
-            else:
-                result = partial_forward(f, args.partial)
-        else:
-            if f.domain.block_count != 1:
-                raise _Refused(
-                    "total derivatives need a single-block domain; "
-                    "use --partial J or declare one block"
-                )
-            tower = reverse_tower if args.mode == "reverse" else forward_tower
-            result = tower(f, args.order)
+        # a total derivative is the partial one in the only block; order 0 is f
+        result = derivative(f, 1 if args.partial is None else args.partial, args.order)
     except (ValueError, IndexError) as err:
         raise _Refused(str(err)) from err
     if args.json:
@@ -138,6 +127,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
         try:
             seed = int(text)
         except ValueError:
+            digits = re.fullmatch(r"\s*[+-]?(\d+(?:_\d+)*)\s*", text)
+            if digits:  # an integer that int() refuses only for its length: not echoed
+                count, limit = len(digits[1].replace("_", "")), sys.get_int_max_str_digits()
+                raise _Refused(f"RFDB_SEED has {count} digits, past the interpreter's "
+                               f"{limit}-digit limit") from None
             raise _Refused(f"RFDB_SEED must be an integer, got {text!r}") from None
     cfg = CorpusConfig(
         max_dim=args.max_dim, max_degree=args.max_deg, max_order=args.max_order
@@ -229,7 +223,8 @@ def build_parser() -> argparse.ArgumentParser:
                                "0 echoes the canonical input")
     p_derive.add_argument("--mode", choices=("reverse", "forward"), default="reverse")
     p_derive.add_argument("--partial", type=int, default=None, metavar="J",
-                          help="take the partial derivative in block J (1-based)")
+                          help="take the partial derivative in block J (1-based), "
+                               "at any --order")
     p_derive.add_argument("--json", action="store_true")
     p_derive.set_defaults(func=cmd_derive)
 

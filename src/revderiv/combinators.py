@@ -1,10 +1,11 @@
-"""First-order derivative combinators on polynomial maps.
+"""Derivative combinators on polynomial maps.
 
 The reverse derivative of f : A -> B is the transpose-Jacobian-vector
 product R[f] : A x B -> A; the forward derivative is the Jacobian-vector
 product D[f] : A x A -> B.  All four derivatives (total and per-block, in
-both modes) and every order of the towers in :mod:`revderiv.towers` come
-from one sparse kernel: at every order, order 1 included, one walk per term
+both modes, the per-block ones at any order) and every order of the towers
+in :mod:`revderiv.towers` come from one sparse kernel, where order 0 is the
+map and a negative order is refused.  At every order, one walk per term
 chooses among the term's nonzero exponents in one block, applies the power
 rule, and appends each derived term to its output's list, which is sorted
 once; no two terms of one output share a monomial, so none are merged.  Its
@@ -56,6 +57,10 @@ def _partial(f: PolyMap, j: int, reverse: bool, order: int = 1) -> PolyMap:
     variable's one-hot block is built once per call, on its first choice.
     """
     rng = f.domain.block_range(j)
+    if order < 0:
+        raise ValueError("derivative order must be nonnegative")
+    if order == 0:
+        return f
     start, stop = rng.start, rng.stop
     domain = f.domain.concat(f.codomain_dim if reverse else len(rng), *(len(rng),) * (order - 1))
     outputs: list[list] = [[] for _ in (rng if reverse else f.coords)]
@@ -115,22 +120,25 @@ def forward_derivative(f: PolyMap) -> PolyMap:
     return _partial(f, 1, False)
 
 
-def partial_reverse(f: PolyMap, j: int) -> PolyMap:
-    """The j-th block of the total reverse derivative.
+def partial_reverse(f: PolyMap, j: int, order: int = 1) -> PolyMap:
+    """The partial reverse derivative of f in block j, taken ``order`` times.
 
-    Domain profile is f's blocks followed by one fresh covector block of the
-    codomain dimension; codomain is block j's dimension.
+    At order 1 it is the j-th block of the total reverse derivative.  Domain
+    profile is f's blocks followed by one fresh covector block of the codomain
+    dimension and ``order`` - 1 fresh vector blocks of block j's dimension;
+    codomain is block j's dimension.  Order 0 is f.
     """
-    return _partial(f, j, True)
+    return _partial(f, j, True, order)
 
 
-def partial_forward(f: PolyMap, j: int) -> PolyMap:
-    """Total forward derivative with zeros inserted in every vector block but j.
+def partial_forward(f: PolyMap, j: int, order: int = 1) -> PolyMap:
+    """The partial forward derivative of f in block j, taken ``order`` times.
 
-    Domain profile is f's blocks followed by one fresh vector block of block
-    j's dimension.
+    At order 1 it is the total forward derivative with zeros inserted in every
+    vector block but j.  Domain profile is f's blocks followed by ``order``
+    fresh vector blocks of block j's dimension.  Order 0 is f.
     """
-    return _partial(f, j, False)
+    return _partial(f, j, False, order)
 
 
 def forward_from_reverse(f: PolyMap) -> PolyMap:

@@ -7,11 +7,10 @@ the partial derivative in the first argument block:
 * reverse tower, order k:  (A, B, A, ..., A) -> A  with k-1 trailing A blocks,
 * forward tower, order k:  (A, A, ..., A) -> B     with k trailing A blocks.
 
-Order 0 is the map itself by convention.  Each tower is a
-:func:`functools.lru_cache` of 4,096 ``(map, order)`` entries, and a miss
-is one call of the derivative kernel of :mod:`revderiv.combinators` at that
-order on the map: it emits only the order-k terms, with no recursion, so any
-order works and no other order is built.
+Each tower is a :func:`functools.lru_cache` of 4,096 ``(map, order)``
+entries, and a miss is one call of the derivative kernel of
+:mod:`revderiv.combinators` at that order on the map, which decides order 0
+and emits only the order-k terms; a positive order needs a single-block map.
 
 The two towers are exchanged by the linear transpose in the covector/second
 slot; the ``stable`` law suite checks that exchange (the transpose bridge)
@@ -27,11 +26,8 @@ from .maps import PolyMap
 
 
 def _tower(f: PolyMap, order: int, reverse: bool) -> PolyMap:
-    if order < 0:
-        raise ValueError("derivative order must be nonnegative")
-    if order == 0:
-        return f
-    _require_single_block(f, f"the total {'reverse' if reverse else 'forward'} derivative")
+    if order > 0:
+        _require_single_block(f, f"the total {'reverse' if reverse else 'forward'} derivative")
     return _partial(f, 1, reverse, order)
 
 

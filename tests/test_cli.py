@@ -117,10 +117,30 @@ def test_derive_multi_block_total_rejected(capsys):
     assert "single-block" in err
 
 
-def test_derive_partial_needs_order_one(capsys):
-    code, _, err = run_cli(capsys, "derive", "--map", "(x1*x2)", "--blocks", "1,1",
-                           "--order", "2", "--partial", "1")
-    assert code == 2
+@pytest.mark.parametrize("mode", ["reverse", "forward"])
+def test_derive_partial_at_every_order(capsys, mode):
+    # block 2 of f is (x2, x3); the covector of the reverse mode is x4
+    code, out, err = run_cli(capsys, "derive", "--map", "(x1^2*x2^3 + x1*x3)", "--blocks", "1,2",
+                             "--partial", "2", "--order", "2", "--mode", mode, "--json")
+    assert code == 0 and err == ""
+    assert json.loads(out) == {
+        "reverse": {"map": "(6*x1^2*x2*x4*x5, 0)", "domain_blocks": [1, 2, 1, 2], "codomain_dim": 2},
+        "forward": {"map": "(6*x1^2*x2*x4*x6)", "domain_blocks": [1, 2, 2, 2], "codomain_dim": 1},
+    }[mode]
+    code, out, _ = run_cli(capsys, "derive", "--map", "(x1*x2)", "--blocks", "1,1",
+                           "--order", "2", "--partial", "1", "--mode", mode)
+    assert (code, out) == (0, "(0)\n")
+
+
+def test_derive_order_zero_echoes_a_multi_block_map(capsys):
+    # with or without --partial J, order 0 is the map on its declared blocks
+    for partial in ((), ("--partial", "1")):
+        code, out, err = run_cli(capsys, "derive", "--map", "(x1*x2)", "--blocks", "1,1",
+                                 "--order", "0", *partial)
+        assert (code, out, err) == (0, "(x1*x2)\n", "")
+    code, out, _ = run_cli(capsys, "derive", "--map", "(x1*x2)", "--blocks", "1,1",
+                           "--order", "0", "--json")
+    assert json.loads(out) == {"map": "(x1*x2)", "domain_blocks": [1, 1], "codomain_dim": 1}
 
 
 @pytest.mark.parametrize("mode", ["reverse", "forward"])
@@ -134,11 +154,11 @@ def test_derive_order_far_above_degree_is_zero(capsys, mode):
 
 @pytest.mark.parametrize("mode", ["reverse", "forward"])
 def test_derive_order_over_the_cap_builds_no_tower(capsys, monkeypatch, mode):
-    def no_tower(f, order):
-        raise AssertionError("a tower was built past the cap")
+    def no_derivative(f, j, order):
+        raise AssertionError("a derivative was taken past the cap")
 
-    monkeypatch.setattr(cli, "reverse_tower", no_tower)
-    monkeypatch.setattr(cli, "forward_tower", no_tower)
+    monkeypatch.setattr(cli, "partial_reverse", no_derivative)
+    monkeypatch.setattr(cli, "partial_forward", no_derivative)
     code, out, err = run_cli(capsys, "derive", "--map", "(x1^2)",
                              "--order", str(cli.DEFAULT_ORDER_CAP + 1), "--mode", mode)
     assert code == 2 and out == ""
@@ -442,10 +462,8 @@ REFUSALS = [
      "error: --order must be nonnegative\n"),
     (["derive", "--map", "(x1)", "--order", "2001"], {},
      "error: --order 2001 exceeds the cap 2000; derive builds no higher tower\n"),
-    (["derive", "--map", "(x1*x2)", "--blocks", "1,1", "--order", "2", "--partial", "1"], {},
-     "error: --partial applies to first derivatives (--order 1)\n"),
     (["derive", "--map", "(x1*x2)", "--blocks", "1,1", "--order", "0", "--partial", "5"], {},
-     "error: --partial applies to first derivatives (--order 1)\n"),
+     "error: block index 5 out of range for 2 blocks\n"),
     (["derive", "--map", "(x1*x2)", "--blocks", "1,1"], {},
      "error: total derivatives need a single-block domain; use --partial J or declare one block\n"),
     (["derive", "--map", "(x1)", "--partial", "2"], {},
@@ -474,10 +492,11 @@ REFUSALS = [
      "error: uses x2 but declared blocks cover 1 coordinates\n(x1*x2)\n    ^\n"
      "(--g is read on the 1 outputs of --f, so that the two compose)\n"),
 ]
-if hasattr(sys, "get_int_max_str_digits"):
-    # past the interpreter's default int/str digit limit, as argparse refuses it for --seed
+if getattr(sys, "get_int_max_str_digits", lambda: 0)():
+    # an integer past the interpreter's int/str digit limit is named by its length, not echoed
     REFUSALS.append((["verify", "--suite", "rd-axioms", "--cases", "1"], {"RFDB_SEED": "7" * 5000},
-                     f"error: RFDB_SEED must be an integer, got '{'7' * 5000}'\n"))
+                     "error: RFDB_SEED has 5000 digits, past the interpreter's "
+                     f"{sys.get_int_max_str_digits()}-digit limit\n"))
 
 
 @pytest.mark.parametrize("argv, env, stderr", REFUSALS,

@@ -135,6 +135,19 @@ def test_partial_forward_of_constant_block_is_zero():
     assert partial_forward(f, 2).is_zero()
 
 
+@pytest.mark.parametrize("derivative", [partial_reverse, partial_forward])
+def test_partial_order_conventions(derivative):
+    # the block is checked first; then order 0 is f and a negative order is refused
+    f = parse_map("(x1^2*x2)", blocks=(1, 1))
+    assert derivative(f, 2, 0) is f
+    with pytest.raises(IndexError, match="block index 3"):
+        derivative(f, 3, 0)
+    with pytest.raises(IndexError, match="block index 3"):
+        derivative(f, 3, -1)
+    with pytest.raises(ValueError, match="nonnegative"):
+        derivative(f, 1, -1)
+
+
 def test_partial_forwards_sum_to_total():
     rng = random.Random(6)
     cfg = CorpusConfig()

@@ -29,6 +29,7 @@ from revderiv.corpus import (
     CorpusConfig,
     random_map,
     random_polynomial,
+    random_profile,
     random_single_block_map,
 )
 from revderiv.maps import ArityProfile, PolyMap, precompose_blocks
@@ -256,3 +257,82 @@ def test_towers_match_polarization_oracle(order):
         f = random_single_block_map(rng, CFG)
         assert forward_tower(f, order) == polarized_forward_tower(f, order)
         assert reverse_tower(f, order) == polarized_reverse_tower(f, order)
+
+
+# -- partial derivatives of every order in every block ---------------------------
+
+
+def contracted_partials(f: PolyMap, j: int, order: int, reverse: bool) -> PolyMap:
+    """partial_reverse / partial_forward of f in block j at ``order``, as the
+    order-K derivative in block j's variables contracted with the fresh
+    blocks, from coordinate partials and one-term products alone.
+
+    Reverse, over (f's blocks, y, v2, ..., vK): coordinate i of block j is the
+    sum over k, j2, ..., jK of d^K f_k / dx_i dx_j2 ... dx_jK * y_k * v2_j2 *
+    ... * vK_jK.  Forward, over (f's blocks, v1, ..., vK): coordinate k is
+    the sum over j1, ..., jK of d^K f_k / dx_j1 ... dx_jK * v1_j1 * ... *
+    vK_jK.  Order 0 is f.
+    """
+    if order == 0:
+        return f
+    blocks, m = f.domain.blocks, f.codomain_dim
+    n, start, d = sum(blocks), sum(blocks[: j - 1]), blocks[j - 1]
+    fresh = (m,) + (d,) * (order - 1) if reverse else (d,) * order
+    dim = n + sum(fresh)
+
+    def contract(branches, first):
+        # branches: (a partial of f_k, its factor); one vector block at a time
+        for b in range(order - (1 if reverse else 0)):
+            at = first + b * d
+            branches = [(q, w * Polynomial.variable(at + t, dim))
+                        for p, w in branches for t in range(d)
+                        for q in (p.partial(start + t),) if q.terms]
+        return branches
+
+    if reverse:
+        branches = contract([(fk.pad(dim), Polynomial.variable(n + k, dim))
+                             for k, fk in enumerate(f.coords)], n + m)
+        coords = [Polynomial.sum(dim, (p.partial(start + i) * w for p, w in branches))
+                  for i in range(d)]
+    else:
+        coords = [Polynomial.sum(dim, (p * w for p, w in
+                                       contract([(fk.pad(dim), Polynomial.constant(dim, 1))], n)))
+                  for fk in f.coords]
+    return PolyMap(ArityProfile(blocks + fresh), tuple(coords))
+
+
+def test_contracted_partials_on_a_two_block_map():
+    # f = x1^2*x2^3 + x1*x3 on blocks (1, 2): block 2 is (x2, x3)
+    f = PolyMap(ArityProfile((1, 2)), (
+        Polynomial.variable(0, 3) ** 2 * Polynomial.variable(1, 3) ** 3
+        + Polynomial.variable(0, 3) * Polynomial.variable(2, 3),))
+    assert str(contracted_partials(f, 2, 2, reverse=True)) == "(6*x1^2*x2*x4*x5, 0)"
+    assert str(contracted_partials(f, 2, 2, reverse=False)) == "(6*x1^2*x2*x4*x6)"
+    assert str(contracted_partials(f, 1, 3, reverse=True)) == "(0)"
+
+
+def test_partials_of_every_order_match_the_contraction():
+    # degree 5 reaches order 4; every block j of each map, orders 0..4, both modes
+    cfg = CorpusConfig(max_degree=5)
+    rng = random.Random("partials of every order")
+    checks = nonzero = 0
+    for _ in range(30):
+        profile = random_profile(rng, cfg)
+        f = random_map(rng, profile, rng.randint(1, cfg.max_dim), cfg.max_degree)
+        for j in range(1, profile.block_count + 1):
+            for order in range(5):
+                for reverse, derivative in ((True, partial_reverse), (False, partial_forward)):
+                    want = contracted_partials(f, j, order, reverse)
+                    assert derivative(f, j, order) == want, (str(f), j, order, reverse)
+                    checks += 1
+                    nonzero += not want.is_zero()
+    assert (checks, nonzero) == (590, 376)
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 3, 4])
+def test_partials_in_the_only_block_are_the_towers(order):
+    rng = random.Random(f"towers/{order}")
+    for _ in range(12):
+        f = random_single_block_map(rng, CorpusConfig(max_degree=5))
+        assert partial_reverse(f, 1, order) == reverse_tower(f, order)
+        assert partial_forward(f, 1, order) == forward_tower(f, order)

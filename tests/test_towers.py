@@ -62,6 +62,17 @@ def test_tower_deeper_than_the_recursion_limit(tower):
     assert poly.terms == (((0,) + (1,) * 1500, math.factorial(1500)),)
 
 
+@pytest.mark.parametrize("tower", [reverse_tower, forward_tower])
+def test_tower_order_conventions_on_a_multi_block_map(tower):
+    # order 0 is the map on any domain; a negative order is refused before the domain
+    f = parse_map("(x1*x2)", blocks=(1, 1))
+    assert tower(f, 0) is f
+    with pytest.raises(ValueError, match="derivative order must be nonnegative"):
+        tower(f, -1)
+    with pytest.raises(ValueError, match="single-block"):
+        tower(f, 1)
+
+
 @pytest.fixture
 def fresh_towers():
     """Both tower caches empty before the test and after it, so no value built
