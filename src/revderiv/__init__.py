@@ -4,14 +4,12 @@ from .combinators import (
     NotDLinearError,
     dagger,
     forward_derivative,
-    forward_from_reverse,
     is_dlinear,
     is_klinear_in_block,
     partial_forward,
     partial_reverse,
     reverse_derivative,
     slice_compose,
-    slice_reverse,
 )
 from .corpus import CorpusConfig
 from .faa_di_bruno import FdbReport, FdbSummand, fdb_report
@@ -58,7 +56,6 @@ __all__ = [
     "fdb_report",
     "flatten",
     "forward_derivative",
-    "forward_from_reverse",
     "forward_tower",
     "identity",
     "is_dlinear",
@@ -76,6 +73,5 @@ __all__ = [
     "run_suite",
     "select_blocks",
     "slice_compose",
-    "slice_reverse",
     "zero_map",
 ]

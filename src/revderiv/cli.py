@@ -168,6 +168,8 @@ def cmd_fdb(args: argparse.Namespace) -> int:
     if args.n < 0:
         raise _Refused("--n must be nonnegative")
     _check_cap("--n", args.n, args.max_n, "raise --max-n if you mean it")
+    if args.f == args.g == "-":  # stdin holds one expression
+        raise _Refused("--f and --g cannot both read stdin ('-')")
     f = parse_map(_read_expr(args.f))
     try:
         g = parse_map(_read_expr(args.g), (f.codomain_dim,))

@@ -2,17 +2,24 @@
 
 The reverse derivative of f : A -> B is the transpose-Jacobian-vector
 product R[f] : A x B -> A; the forward derivative is the Jacobian-vector
-product D[f] : A x A -> B.  All four derivatives (total and per-block, in
-both modes, the per-block ones at any order) and every order of the towers
-in :mod:`revderiv.towers` come from one sparse kernel, where order 0 is the
-map and a negative order is refused.  At every order, one walk per term
-chooses among the term's nonzero exponents in one block, applies the power
-rule, and appends each derived term to its output's list, which is sorted
-once; no two terms of one output share a monomial, so none are merged.  Its
-cost follows the terms and their variables in that block, not the number of
-(input, output) pairs or the width of the block.  The linear transpose of
-a map in a block it is linear in, and the slice constructions that thread a
-fixed context block through composition, are built on top of it.
+product D[f] : A x A -> B.  The total derivatives of order k iterate only the
+partial derivative in the first argument block, since iterating the full
+reverse derivative doubles up information (the transpose of each stage is
+already determined):
+
+* reverse, order k:  (A, B, A, ..., A) -> A  with k-1 trailing A blocks,
+* forward, order k:  (A, A, ..., A) -> B     with k trailing A blocks.
+
+All four derivatives (total and per-block, in both modes, at any order) come
+from one sparse kernel, where order 0 is the map and a negative order is
+refused; a total derivative of positive order needs a single-block map.  At
+every order, one walk per term chooses among the term's nonzero exponents in
+one block, applies the power rule, and appends each derived term to its
+output's list, which is sorted once; no two terms of one output share a
+monomial, so none are merged.  Its cost follows the terms and their
+variables in that block, not the number of (input, output) pairs or the
+width of the block.  The linear transpose of a map in a block it is linear
+in, and composition in a fixed context block, are built on top of it.
 
 Derived maps always append their fresh argument blocks at the end of the
 domain, never reordering existing coordinates, so identities between derived
@@ -105,19 +112,27 @@ def _partial(f: PolyMap, j: int, reverse: bool, order: int = 1) -> PolyMap:
     return PolyMap(domain, tuple(Polynomial(dim, _canonical_terms(terms)) for terms in outputs))
 
 
-def reverse_derivative(f: PolyMap) -> PolyMap:
-    """R[f] : (n, m) -> n, coordinate i = sum_j d(f_j)/d(x_i) * y_j.
+def reverse_derivative(f: PolyMap, order: int = 1) -> PolyMap:
+    """R^order[f], the first-block partial reverse derivative taken ``order`` times.
 
-    The m fresh trailing coordinates are the output covector y.
+    At order 1, R[f] : (n, m) -> n with coordinate i = sum_j d(f_j)/d(x_i) * y_j;
+    the m fresh trailing coordinates are the output covector y.  Order 0 is f
+    on any domain; a positive order needs a single-block map.
     """
-    _require_single_block(f, "the total reverse derivative")
-    return _partial(f, 1, True)
+    if order > 0:
+        _require_single_block(f, "the total reverse derivative")
+    return _partial(f, 1, True, order)
 
 
-def forward_derivative(f: PolyMap) -> PolyMap:
-    """D[f] : (n, n) -> m, coordinate j = sum_i d(f_j)/d(x_i) * y_i."""
-    _require_single_block(f, "the total forward derivative")
-    return _partial(f, 1, False)
+def forward_derivative(f: PolyMap, order: int = 1) -> PolyMap:
+    """D^order[f], the first-block partial forward derivative taken ``order`` times.
+
+    At order 1, D[f] : (n, n) -> m with coordinate j = sum_i d(f_j)/d(x_i) * y_i.
+    Order 0 is f on any domain; a positive order needs a single-block map.
+    """
+    if order > 0:
+        _require_single_block(f, "the total forward derivative")
+    return _partial(f, 1, False, order)
 
 
 def partial_reverse(f: PolyMap, j: int, order: int = 1) -> PolyMap:
@@ -139,14 +154,6 @@ def partial_forward(f: PolyMap, j: int, order: int = 1) -> PolyMap:
     fresh vector blocks of block j's dimension.  Order 0 is f.
     """
     return _partial(f, j, False, order)
-
-
-def forward_from_reverse(f: PolyMap) -> PolyMap:
-    """Forward derivative reconstructed as the linear transpose of the reverse
-    derivative in its covector block.  Exactly equal to
-    :func:`forward_derivative` in this model.
-    """
-    return dagger(reverse_derivative(f), 2)
 
 
 def is_klinear_in_block(f: PolyMap, j: int) -> bool:
@@ -217,10 +224,3 @@ def slice_compose(g: PolyMap, f: PolyMap, context_dim: int) -> PolyMap:
         )
     return compose(g, _in_context(f, 2))
 
-
-def slice_reverse(f: PolyMap, context_dim: int) -> PolyMap:
-    """Reverse derivative in a fixed context: for f : (C, A) -> B, the map
-    (C, A, B) -> A that differentiates only the A block."""
-    if f.domain.block_count != 2 or f.domain.blocks[0] != context_dim:
-        raise ValueError(f"expected a two-block domain with context dimension {context_dim}")
-    return partial_reverse(f, 2)

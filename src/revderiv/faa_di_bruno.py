@@ -11,8 +11,10 @@ drives an outer reverse derivative of f, the remaining blocks contribute
 *forward* derivatives of f, and g appears only through its reverse tower,
 based at f(a0) and fed with the covector.  Summed over all partitions with
 1 in the first block, this reconstructs the order-(n+1) reverse derivative
-of the composite.  Both sums are verified against the plain iterated-tower
-oracle computed independently in :mod:`revderiv.towers`.
+of the composite.  Both sums are compared with the total derivative of the
+composite, which runs the same kernel as the summands' towers; the oracles
+that share no code with the kernel are the ``second-reverse`` law and
+``tests/test_jet_oracle.py``.
 
 A summand is natural in its labels: for a bijection sigma of {1, ..., n+1},
 the summand of sigma(pi) is the summand of pi with its vector blocks

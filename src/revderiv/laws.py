@@ -28,7 +28,6 @@ from .combinators import (
     _in_context,
     dagger,
     forward_derivative,
-    forward_from_reverse,
     is_dlinear,
     is_klinear_in_block,
     partial_forward,
@@ -61,7 +60,6 @@ from .maps import (
     zero_map,
 )
 from .poly import Coefficient, Polynomial
-from .towers import forward_tower, reverse_tower
 
 
 def bell(n: int) -> int:
@@ -377,7 +375,7 @@ def law_transpose_of_forward(rng: random.Random, cfg: CorpusConfig) -> LawFailur
 
 def law_forward_from_reverse(rng: random.Random, cfg: CorpusConfig) -> LawFailure | None:
     f = random_single_block_map(rng, cfg)
-    return _cmp("forward-from-reverse", [f], forward_from_reverse(f), forward_derivative(f))
+    return _cmp("forward-from-reverse", [f], dagger(reverse_derivative(f), 2), forward_derivative(f))
 
 
 def law_dagger_contravariance(rng: random.Random, cfg: CorpusConfig) -> LawFailure | None:
@@ -455,7 +453,7 @@ def law_second_reverse(rng: random.Random, cfg: CorpusConfig) -> LawFailure | No
         return PolyMap(ArityProfile((n, m) + (n,) * (order - 1)), tuple(
             Polynomial.sum(dim, (p.partial(i) * w for p, w in branches)) for i in range(n)))
 
-    return _first(_cmp("second-reverse", [f], reverse_tower(f, order), contraction(order))
+    return _first(_cmp("second-reverse", [f], reverse_derivative(f, order), contraction(order))
                   for order in range(1, cfg.max_order + 2))
 
 
@@ -467,19 +465,19 @@ def law_tower_bridge(rng: random.Random, cfg: CorpusConfig) -> LawFailure | None
 
     def checks():
         for n in range(1, cfg.max_order + 1):
-            raw = partial_reverse(forward_tower(f, n), 1)        # (a,)*(n+1) + (m,) -> a
+            raw = partial_reverse(forward_derivative(f, n), 1)  # (a,)*(n+1) + (m,) -> a
             src = ArityProfile((a, m) + (a,) * n)
             placement = {1: 1, n + 2: 2}
             placement.update({t: t + 1 for t in range(2, n + 2)})
             lhs = precompose_blocks(raw, src, placement)
-            yield _cmp("tower-bridge", [f], lhs, reverse_tower(f, n + 1))
+            yield _cmp("tower-bridge", [f], lhs, reverse_derivative(f, n + 1))
     return _first(checks())
 
 
 def law_dagger_bridge(rng: random.Random, cfg: CorpusConfig) -> LawFailure | None:
     f = random_single_block_map(rng, cfg)
-    return _first(_cmp("dagger-bridge", [f], dagger(forward_tower(f, order), 2),
-                       reverse_tower(f, order))
+    return _first(_cmp("dagger-bridge", [f], dagger(forward_derivative(f, order), 2),
+                       reverse_derivative(f, order))
                   for order in range(1, cfg.max_order + 2))
 
 
@@ -488,7 +486,7 @@ def law_tower_symmetry(rng: random.Random, cfg: CorpusConfig) -> LawFailure | No
 
     def checks():
         for order in range(1, min(cfg.max_order, 3) + 1):
-            t = forward_tower(f, order)
+            t = forward_derivative(f, order)
             nb = t.domain.block_count
             for p in range(2, nb + 1):
                 for q in range(p + 1, nb + 1):
@@ -503,7 +501,7 @@ def law_tower_dlinear(rng: random.Random, cfg: CorpusConfig) -> LawFailure | Non
 
     def checks():
         for order in range(1, min(cfg.max_order, 3) + 1):
-            t = forward_tower(f, order)
+            t = forward_derivative(f, order)
             for j in range(2, t.domain.block_count + 1):
                 yield _flag("tower-dlinear", [f], is_dlinear(t, j), t, f"D-linear in block {j}")
     return _first(checks())
@@ -511,7 +509,7 @@ def law_tower_dlinear(rng: random.Random, cfg: CorpusConfig) -> LawFailure | Non
 
 def law_tower_klinear_covector(rng: random.Random, cfg: CorpusConfig) -> LawFailure | None:
     f = random_single_block_map(rng, cfg)
-    towers = (reverse_tower(f, order) for order in range(1, cfg.max_order + 2))
+    towers = (reverse_derivative(f, order) for order in range(1, cfg.max_order + 2))
     return _first(_flag("tower-klinear-covector", [f], is_klinear_in_block(t, 2), t,
                         "k-linear in block 2") for t in towers)
 
@@ -520,7 +518,7 @@ def law_degree_bound(rng: random.Random, cfg: CorpusConfig) -> LawFailure | None
     """The reverse tower of order beyond the total degree vanishes."""
     f = random_single_block_map(rng, cfg)
     order = max(f.max_degree(), 0) + 1
-    t = reverse_tower(f, order)
+    t = reverse_derivative(f, order)
     return _flag("degree-bound", [f], t.is_zero(), t, "0")
 
 

@@ -491,6 +491,9 @@ REFUSALS = [
     (["fdb", "--f", "(x1)", "--g", "(x1*x2)", "--n", "0", "--mode", "reverse"], {},
      "error: uses x2 but declared blocks cover 1 coordinates\n(x1*x2)\n    ^\n"
      "(--g is read on the 1 outputs of --f, so that the two compose)\n"),
+    # refused before stdin is read: pytest's captured stdin raises on a read
+    (["fdb", "--f", "-", "--g", "-", "--n", "0", "--mode", "forward"], {},
+     "error: --f and --g cannot both read stdin ('-')\n"),
 ]
 if getattr(sys, "get_int_max_str_digits", lambda: 0)():
     # an integer past the interpreter's int/str digit limit is named by its length, not echoed

@@ -11,14 +11,12 @@ from revderiv.combinators import (
     _partial,
     dagger,
     forward_derivative,
-    forward_from_reverse,
     is_dlinear,
     is_klinear_in_block,
     partial_forward,
     partial_reverse,
     reverse_derivative,
     slice_compose,
-    slice_reverse,
 )
 from revderiv.corpus import CorpusConfig, random_dlinear_map, random_map, random_profile
 from revderiv.maps import (
@@ -219,11 +217,11 @@ def test_wide_derivative_past_every_terms_degree_allocates_nothing_per_term(lead
 
 def test_forward_from_reverse_examples():
     cube = parse_map("(x1^3)")
-    assert forward_from_reverse(cube) == forward_derivative(cube)
+    assert dagger(reverse_derivative(cube), 2) == forward_derivative(cube)
     lin = linear_map([[2, -1], [1, 0]], 2)
-    assert forward_from_reverse(lin) == forward_derivative(lin)
+    assert dagger(reverse_derivative(lin), 2) == forward_derivative(lin)
     const = PolyMap(ArityProfile((2,)), (Polynomial.constant(2, 3),))
-    assert forward_from_reverse(const).is_zero()
+    assert dagger(reverse_derivative(const), 2).is_zero()
 
 
 # -- linearity tests -----------------------------------------------------------------
@@ -315,12 +313,12 @@ def test_slice_compose_zero_context_is_plain_composition():
 
 
 def test_slice_reverse():
+    # the reverse derivative in a fixed context block is the partial in block 2
     f = parse_map("(x1*x2^2)", blocks=(1, 1))     # f(c, x) = c*x^2
-    assert str(slice_reverse(f, 1)) == "(2*x1*x2*x3)"
-    assert slice_reverse(f, 1) == partial_reverse(f, 2)
+    assert str(partial_reverse(f, 2)) == "(2*x1*x2*x3)"
     g = parse_map("(x1^3)")
     g0 = reblock(g, ArityProfile((0, 1)))
-    assert slice_reverse(g0, 0).coords == reverse_derivative(g).coords
+    assert partial_reverse(g0, 2).coords == reverse_derivative(g).coords
 
 
 # -- the kernel at any order ------------------------------------------------------

@@ -334,5 +334,6 @@ def test_partials_in_the_only_block_are_the_towers(order):
     rng = random.Random(f"towers/{order}")
     for _ in range(12):
         f = random_single_block_map(rng, CorpusConfig(max_degree=5))
-        assert partial_reverse(f, 1, order) == reverse_tower(f, order)
-        assert partial_forward(f, 1, order) == forward_tower(f, order)
+        for partial, tower, total in ((partial_reverse, reverse_tower, reverse_derivative),
+                                      (partial_forward, forward_tower, forward_derivative)):
+            assert partial(f, 1, order) == tower(f, order) == total(f, order)

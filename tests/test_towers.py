@@ -9,8 +9,14 @@ from fractions import Fraction
 
 import pytest
 
-from revderiv import towers
-from revderiv.combinators import _partial, dagger, partial_reverse, reverse_derivative
+from revderiv import combinators
+from revderiv.combinators import (
+    _partial,
+    dagger,
+    forward_derivative,
+    partial_reverse,
+    reverse_derivative,
+)
 from revderiv.corpus import CorpusConfig, random_context_map, random_single_block_map
 from revderiv.laws import _stable_rule, run_suite
 from revderiv.maps import ArityProfile, PolyMap
@@ -62,7 +68,8 @@ def test_tower_deeper_than_the_recursion_limit(tower):
     assert poly.terms == (((0,) + (1,) * 1500, math.factorial(1500)),)
 
 
-@pytest.mark.parametrize("tower", [reverse_tower, forward_tower])
+@pytest.mark.parametrize("tower", [reverse_tower, forward_tower,
+                                   reverse_derivative, forward_derivative])
 def test_tower_order_conventions_on_a_multi_block_map(tower):
     # order 0 is the map on any domain; a negative order is refused before the domain
     f = parse_map("(x1*x2)", blocks=(1, 1))
@@ -93,7 +100,7 @@ def test_tower_miss_is_one_kernel_call_of_its_order_on_f(tower, monkeypatch, fre
         calls.append((t, j, rev, order))
         return _partial(t, j, rev, order)
 
-    monkeypatch.setattr(towers, "_partial", counted)
+    monkeypatch.setattr(combinators, "_partial", counted)
     f = parse_map("(x1^6*x2 - x2^2, x1*x2^5 + 3*x1)", blocks=(2,))
     seen = []
     for order in (4, 2, 5, 5):
@@ -158,6 +165,17 @@ def test_towers_shared_across_threads_past_the_bound(fresh_towers):
     assert info.currsize == info.maxsize < threads * per_thread
 
 
+def test_only_the_partition_sums_fill_the_tower_caches(fresh_towers):
+    # every other law calls the total derivative itself
+    for suite in ("rd-axioms", "context", "dagger", "stable"):
+        run_suite(suite, 0, 5)
+    assert [t.cache_info().currsize for t in (reverse_tower, forward_tower)] == [0, 0]
+    run_suite("fdb-forward", 0, 5)
+    assert forward_tower.cache_info().currsize > 0
+    run_suite("fdb-reverse", 0, 5)
+    assert reverse_tower.cache_info().currsize > 0
+
+
 @pytest.mark.parametrize("mode", ["forward", "reverse"])
 def test_fdb_laws_run_the_order_k_walk(mode, monkeypatch, fresh_towers):
     # a kernel that is wrong only above order 1: the fdb laws must see it,
@@ -166,7 +184,7 @@ def test_fdb_laws_run_the_order_k_walk(mode, monkeypatch, fresh_towers):
         d = _partial(t, j, rev, order)
         return d.scale(2) if order > 1 else d
 
-    monkeypatch.setattr(towers, "_partial", wrong_above_one)
+    monkeypatch.setattr(combinators, "_partial", wrong_above_one)
     report = run_suite(f"fdb-{mode}", 0, 20)
     assert report.law_failures[report.laws.index(f"fdb-{mode}")] > 0
 
@@ -178,7 +196,7 @@ def test_second_reverse_checks_every_tower_order(monkeypatch, fresh_towers):
         d = _partial(t, j, rev, order)
         return d.scale(2) if order > 2 else d
 
-    monkeypatch.setattr(towers, "_partial", wrong_above_two)
+    monkeypatch.setattr(combinators, "_partial", wrong_above_two)
     report = run_suite("stable", 0, 20)
     assert report.law_failures[report.laws.index("second-reverse")] > 0
 
