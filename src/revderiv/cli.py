@@ -266,8 +266,9 @@ def build_parser() -> argparse.ArgumentParser:
                     "set partitions and compare it with the iterated-derivative "
                     "oracle; exits 1 if they differ.",
     )
-    p_fdb.add_argument("--f", required=True, help="inner map expression")
-    p_fdb.add_argument("--g", required=True, help="outer map expression")
+    stdin = "; '-' reads stdin (not for both --f and --g)"
+    p_fdb.add_argument("--f", required=True, help="inner map expression" + stdin)
+    p_fdb.add_argument("--g", required=True, help="outer map expression" + stdin)
     p_fdb.add_argument("--n", type=int, required=True,
                        help="order offset: checks the order-(n+1) derivative")
     p_fdb.add_argument("--mode", choices=("forward", "reverse"), required=True)

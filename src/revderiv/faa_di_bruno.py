@@ -226,17 +226,10 @@ def fdb_report(f: PolyMap, g: PolyMap, n: int, mode: str) -> FdbReport:
     if mode not in ("forward", "reverse"):
         raise ValueError(f"unknown mode {mode!r}: expected 'forward' or 'reverse'")
     _check_composable(f, g, n)
-    a = f.domain.total
-    composite = compose(g, f)
-    if mode == "forward":
-        dom = ArityProfile((a,) * (n + 2))
-        tower = forward_tower
-    else:
-        dom = ArityProfile((a, g.codomain_dim) + (a,) * n)
-        tower = reverse_tower
-    summands = _summands(f, g, dom, n, mode)
-    oracle = tower(composite, n + 1)
-    total = sum_maps(dom, oracle.codomain_dim, [s.result for s in summands])
+    # the oracle goes first: its domain is the summands' domain
+    oracle = (forward_tower if mode == "forward" else reverse_tower)(compose(g, f), n + 1)
+    summands = _summands(f, g, oracle.domain, n, mode)
+    total = sum_maps(oracle.domain, oracle.codomain_dim, [s.result for s in summands])
     return FdbReport(
         mode=mode,
         order=n,

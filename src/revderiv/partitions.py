@@ -1,17 +1,19 @@
 """Set partitions of {1, ..., n} in a canonical deterministic order.
 
-Partitions are enumerated through restricted growth strings: position i of
-the string names the block element i+1 belongs to, and a new block label may
-exceed the running maximum by at most one.  Blocks are therefore ordered by
-their minimum element, with the block containing 1 first.  The enumeration
-walks label choices from high to low, which lists finer partitions before
-coarser ones (all singletons first, the one-block partition last).
+The partitions of {1, ..., x} are built from those of {1, ..., x-1}, in their
+order: element x first opens a block of its own, then joins each existing
+block, from the last block to the first.  Element x is the largest so far and
+opens a block only at the end, so every block stays sorted and the blocks
+stay ordered by their minimum, with the block containing 1 first.  The list
+is thus ordered by the choices of elements 2, 3, ..., n, compared in that
+order, each ranked from a new block down to the first block: finer
+partitions come before coarser ones, all singletons first and the one-block
+partition last.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 
 @dataclass(frozen=True)
@@ -48,31 +50,14 @@ class SetPartition:
         return "|".join("{" + ",".join(str(i) for i in block) + "}" for block in self.blocks)
 
 
-def _from_growth_string(labels: Sequence[int]) -> SetPartition:
-    """The partition a restricted growth string names.  Its blocks are
-    nonempty, sorted, disjoint, cover 1..n and are ordered by minimum by
-    construction, so it skips the checks of ``SetPartition.__post_init__``,
-    which would take most of the time of an enumeration."""
-    count = max(labels) + 1
-    blocks: list[list[int]] = [[] for _ in range(count)]
-    for i, label in enumerate(labels):
-        blocks[label].append(i + 1)
+def _built(blocks: tuple[tuple[int, ...], ...]) -> SetPartition:
+    """A partition the enumeration built.  Its blocks are nonempty, sorted,
+    disjoint, cover 1..n and are ordered by minimum by construction, so it
+    skips the checks of ``SetPartition.__post_init__``, which would take most
+    of the time of an enumeration."""
     part = object.__new__(SetPartition)
-    object.__setattr__(part, "blocks", tuple(tuple(b) for b in blocks))
+    object.__setattr__(part, "blocks", blocks)
     return part
-
-
-def _walk(labels: list[int], i: int, top: int, out: list[SetPartition]) -> None:
-    """Fill positions i.. of the growth string, high labels first.  A module
-    function, not a closure: a nested function that calls itself is a
-    reference cycle, which would keep ``out`` alive until the next garbage
-    collection."""
-    if i == len(labels):
-        out.append(_from_growth_string(labels))
-        return
-    for label in range(top + 1, -1, -1):
-        labels[i] = label
-        _walk(labels, i + 1, max(top, label), out)
 
 
 def enumerate_partitions(n: int) -> list[SetPartition]:
@@ -84,7 +69,12 @@ def enumerate_partitions(n: int) -> list[SetPartition]:
         raise ValueError("cannot partition a negative-size set")
     if n == 0:
         return []
-    out: list[SetPartition] = []
-    _walk([0] * n, 1, 0, out)
-    return out
-
+    level: list[tuple[tuple[int, ...], ...]] = [((1,),)]
+    for x in range(2, n + 1):
+        grown = []
+        for blocks in level:
+            grown.append(blocks + ((x,),))
+            for i in range(len(blocks) - 1, -1, -1):
+                grown.append(blocks[:i] + (blocks[i] + (x,),) + blocks[i + 1:])
+        level = grown
+    return [_built(blocks) for blocks in level]

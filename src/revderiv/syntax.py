@@ -86,13 +86,13 @@ def _poly(source: str, pos: int) -> tuple[list[_RawTerm], int, int]:
         if first and sign == "+" or num is None and factors is None:
             raise ParseError("expected a coefficient or a variable", source,
                              m.start("sign") if first and sign == "+" else m.end())
-        # coeff := nat ('/' posnat)?, an int when the denominator divides it
+        # coeff := nat ('/' posnat)?; _accumulate stores integral values as ints
         coeff = 1 if num is None else _integer(num)
         if den is not None:
             d = _integer(den)
             if not d:
                 raise ParseError("zero denominator", source, m.start("den"))
-            coeff = coeff // d if coeff % d == 0 else Fraction(coeff, d)
+            coeff = Fraction(coeff, d)
         pairs = []
         for f in _FACTOR_RE.finditer(factors):
             index, exp = f.groups()

@@ -540,6 +540,16 @@ def test_help_documents_exit_codes(capsys):
     assert "exit codes" in out
 
 
+def test_fdb_help_says_dash_reads_stdin(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(capsys, "fdb", "--help")
+    assert exc.value.code == 0
+    # argparse wraps help at the terminal width
+    out = " ".join(capsys.readouterr().out.split())
+    for flag, role in (("--f F", "inner"), ("--g G", "outer")):
+        assert f"{flag} {role} map expression; '-' reads stdin (not for both --f and --g)" in out
+
+
 def test_repeated_calls_leave_no_cyclic_garbage(capsys):
     # argparse objects form reference cycles, so a parser built per call
     # would leave garbage that only the cyclic collector frees

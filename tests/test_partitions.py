@@ -22,6 +22,33 @@ def bell_numbers(upto):
     return bells
 
 
+def growth_string_partitions(n):
+    """Reference: the partitions of {1, ..., n} walked as restricted growth
+    strings (Knuth, TAOCP 4A, 7.2.1.5), labels tried from high to low.
+    Position i names the block of element i+1; a label may exceed the
+    running maximum by at most one."""
+    out = []
+
+    def walk(labels, top):
+        if len(labels) == n:
+            blocks = [[] for _ in range(top + 1)]
+            for i, label in enumerate(labels):
+                blocks[label].append(i + 1)
+            out.append(tuple(tuple(b) for b in blocks))
+            return
+        for label in range(top + 1, -1, -1):
+            walk(labels + [label], max(top, label))
+
+    if n:
+        walk([0], 0)
+    return out
+
+
+def test_order_matches_the_growth_string_walk():
+    for n in range(10):
+        assert [p.blocks for p in enumerate_partitions(n)] == growth_string_partitions(n)
+
+
 def test_counts_match_bell_numbers():
     bells = bell_numbers(6)
     for n in range(1, 7):
