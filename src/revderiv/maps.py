@@ -5,9 +5,9 @@ A map's domain is a flat coordinate space carrying a block structure (an
 codomain is a plain dimension: block structure on outputs is recovered by
 composing with projections when needed.  Block indices in this module are
 1-based (the j-th factor of a product); flat coordinate indices are 0-based.
-Routing whole blocks (:func:`precompose_blocks`) re-indexes exponents; when
-it permutes blocks, each monomial is relabelled by one permutation.  A
-placement that names a block the target does not have is an ``IndexError``.
+Routing whole blocks (:func:`precompose_blocks`) re-indexes exponents: one
+relabel per monomial, or substitution's one-term fold for a duplicated block.
+A placement that names a block the target does not have is an ``IndexError``.
 """
 
 from __future__ import annotations
@@ -240,8 +240,9 @@ def precompose_blocks(f: PolyMap, src: ArityProfile, placement: Mapping[int, int
 
     Equal to ``compose(f, embed_blocks(src, f.domain, placement))``, but the
     routing only rewrites exponents; no polynomial is multiplied.  A placement
-    that permutes blocks of equal dimensions relabels each monomial by one
-    permutation (see :meth:`Polynomial.reindex`).
+    that names each source block once (a permutation, a selection, a zero
+    insertion) relabels each monomial once; one that duplicates a source block
+    goes through substitution's one-term fold (see :meth:`Polynomial.reindex`).
     """
     sources = _routing(src, f.domain, placement)
     return PolyMap(src, tuple(p.reindex(sources, src.total) for p in f.coords))

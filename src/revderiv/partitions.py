@@ -39,10 +39,6 @@ class SetPartition:
         if mins != sorted(mins):
             raise ValueError("blocks must be ordered by their minimum element")
 
-    @property
-    def ground_size(self) -> int:
-        return sum(len(b) for b in self.blocks)
-
     def block_sizes(self) -> tuple[int, ...]:
         return tuple(len(b) for b in self.blocks)
 

@@ -18,9 +18,10 @@ Every operation in which like terms can meet streams its raw terms into one
 accumulator that merges them in one dict and sorts once, and
 :meth:`Polynomial.sum` adds any number of polynomials the same way.
 Substitution folds each one-term argument into the exponents and the
-coefficient of a term, so only arguments with several terms are multiplied;
-re-indexing by a permutation relabels each monomial and sorts once, with
-nothing to merge.  One printer body serves ``str`` and callers that print
+coefficient of a term, so only arguments with several terms are multiplied.
+Re-indexing that names each source coordinate once relabels each monomial and
+sorts once, with nothing to merge; a source named twice goes through the
+substitution fold.  One printer body serves ``str`` and callers that print
 many polynomials together and share a table of monomial texts; it finds a
 monomial's nonzero exponents with ``itertools.compress``, so a wide sparse
 monomial costs by its variables.
@@ -260,43 +261,38 @@ class Polynomial:
         """Substitute coordinate ``sources[i]`` of a ``dim``-space, or zero when
         it is None, for coordinate ``i``, by rewriting exponents only.
 
-        Terms that use a zeroed coordinate vanish; coordinates routed from one
-        source add their exponents.  Equal to :meth:`substitute` with the
-        corresponding variables and zeros, without multiplying polynomials.
-        When ``sources`` is a permutation of ``range(dim)``, each monomial is
-        relabelled by one ``itemgetter`` of the inverse permutation and the
-        terms are sorted once: distinct monomials stay distinct, so nothing
-        merges and nothing vanishes.
+        When each source is named at most once, terms that use a zeroed
+        coordinate vanish and each other monomial, with a zero appended for
+        the sources nothing reads, is relabelled by one ``itemgetter``;
+        distinct monomials stay distinct, so the terms are sorted once and
+        nothing merges.  A source named twice goes through :meth:`substitute`
+        with the matching variables and zeros, whose one-term fold adds the
+        exponents routed from it without multiplying polynomials.
         """
         if len(sources) != self.dim:
             raise ValueError(f"{len(sources)} routing sources, expected {self.dim}")
-        for s in sources:
-            if s is not None and not 0 <= s < dim:
+        unread = self.dim  # the index of the zero appended to each monomial
+        picks = [unread] * dim
+        dropped = []
+        twice = False
+        for i, s in enumerate(sources):
+            if s is None:
+                dropped.append(i)
+            elif not 0 <= s < dim:
                 raise IndexError(f"source coordinate {s} out of range for dimension {dim}")
-        if dim == self.dim and None not in sources and len(set(sources)) == dim:
-            if dim < 2:
-                return self  # the only permutation is the identity
-            inverse = [0] * dim
-            for i, s in enumerate(sources):
-                inverse[s] = i
-            relabel = itemgetter(*inverse)  # with two or more items, returns a tuple
-            terms = [(relabel(m), c) for m, c in self.terms]
-            terms.sort(key=_graded, reverse=True)
-            return Polynomial(dim, tuple(terms))
-
-        def routed():
-            for m, c in self.terms:
-                new = [0] * dim
-                for i, e in enumerate(m):
-                    if e:
-                        s = sources[i]
-                        if s is None:
-                            break
-                        new[s] += e
-                else:
-                    yield tuple(new), c
-
-        return _accumulate(dim, routed())
+            elif picks[s] == unread:
+                picks[s] = i
+            else:
+                twice = True
+        if twice:
+            return self.substitute([Polynomial.zero(dim) if s is None else Polynomial.variable(s, dim)
+                                    for s in sources], dim)
+        # with fewer than two items, itemgetter returns no tuple
+        relabel = itemgetter(*picks) if dim > 1 else lambda m: tuple(m[k] for k in picks)
+        terms = [(relabel(m + (0,)), c) for m, c in self.terms
+                 if not (dropped and any(m[i] for i in dropped))]
+        terms.sort(key=_graded, reverse=True)
+        return Polynomial(dim, tuple(terms))
 
     def pad(self, dim: int) -> "Polynomial":
         """Embed into a larger space by appending fresh trailing coordinates."""

@@ -95,10 +95,9 @@ def test_set_partition_validation():
         SetPartition(((1,), (3,)))  # gap
 
 
-def test_block_sizes_and_ground_size():
+def test_block_sizes_and_text():
     p = SetPartition(((1, 4), (2, 3), (5,)))
     assert p.block_sizes() == (2, 2, 1)
-    assert p.ground_size == 5
     assert str(p) == "{1,4}|{2,3}|{5}"
 
 

@@ -3,6 +3,7 @@
 import random
 import sys
 from fractions import Fraction
+from operator import itemgetter
 
 import hypothesis.strategies as st
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import example, given
 from revderiv.combinators import forward_derivative, reverse_derivative
 from revderiv.corpus import random_map
 from revderiv.maps import ArityProfile, PolyMap, sum_maps, zero_map
-from revderiv.poly import Polynomial, _text
+from revderiv.poly import Polynomial, _accumulate, _graded, _text
 from revderiv.syntax import parse_map, parse_polynomial
 
 
@@ -374,6 +375,89 @@ def test_substitute_against_naive_expansion(case):
     result = p.substitute(args)
     assert result.as_dict() == naive_substitute(p, args, args[0].dim)
     assert is_canonical(result) and has_normal_coefficients(result)
+
+
+# -- the reference re-indexing --------------------------------------------------
+# The body of Polynomial.reindex from before it had one relabel path, kept
+# verbatim (the polynomial is named p) as the oracle for the relabel and for a
+# duplicated source: a permutation-only relabel, and a merge of every other
+# routing in one accumulator.
+
+
+def reference_reindex(p, sources, dim):
+    if len(sources) != p.dim:
+        raise ValueError(f"{len(sources)} routing sources, expected {p.dim}")
+    for s in sources:
+        if s is not None and not 0 <= s < dim:
+            raise IndexError(f"source coordinate {s} out of range for dimension {dim}")
+    if dim == p.dim and None not in sources and len(set(sources)) == dim:
+        if dim < 2:
+            return p  # the only permutation is the identity
+        inverse = [0] * dim
+        for i, s in enumerate(sources):
+            inverse[s] = i
+        relabel = itemgetter(*inverse)  # with two or more items, returns a tuple
+        terms = [(relabel(m), c) for m, c in p.terms]
+        terms.sort(key=_graded, reverse=True)
+        return Polynomial(dim, tuple(terms))
+
+    def routed():
+        for m, c in p.terms:
+            new = [0] * dim
+            for i, e in enumerate(m):
+                if e:
+                    s = sources[i]
+                    if s is None:
+                        break
+                    new[s] += e
+            else:
+                yield tuple(new), c
+
+    return _accumulate(dim, routed())
+
+
+def _outcome(call, *args):
+    """What a call returns, or the type and message of the error it raises."""
+    try:
+        return call(*args)
+    except (ValueError, IndexError) as err:
+        return type(err), str(err)
+
+
+@st.composite
+def routings(draw):
+    """A polynomial in 0..4 coordinates and a source for each coordinate in a
+    0..4-coordinate space: a permutation, or any mix of None and sources,
+    duplicated ones included, into a wider or a narrower space."""
+    n = draw(st.integers(0, 4))
+    p = draw(polynomials(dim=n, max_degree=2, max_terms=6))
+    if draw(st.booleans()):
+        return p, draw(st.permutations(range(n))), n
+    dim = draw(st.integers(0, 4))
+    return p, draw(st.lists(st.sampled_from([None, *range(dim)]), min_size=n, max_size=n)), dim
+
+
+@given(routings())
+@example((P(0, {(): 3}), [], 0))
+@example((Polynomial.zero(0), [], 2))
+@example((P(0, {(): Fraction(1, 2)}), [], 2))
+@example((P(1, {(2,): 1, (0,): -1}), [0], 1))
+@example((P(1, {(2,): 1, (0,): -1}), [None], 1))
+@example((P(1, {(2,): 1, (0,): -1}), [None], 0))
+@example((P(1, {(2,): 1, (1,): 4}), [2], 3))
+@example((P(2, {(1, 0): 1, (0, 1): -1, (0, 0): 2}), [0, 0], 1))  # x1 - x2 + 2 at (y1, y1)
+@example((P(2, {(2, 1): 1, (1, 0): 3}), [1, 1], 2))
+@example((P(3, {(1, 1, 0): 1, (0, 0, 2): 5}), [1, None, 1], 2))
+@example((P(2, {(1, 0): 1}), [0], 2))  # too few sources
+@example((P(2, {(1, 0): 1}), [0, 2], 2))  # a source out of range
+@example((P(2, {(1, 0): 1}), [0, -1], 2))
+@example((P(2, {(1, 0): 1}), [0, 0, 5], 2))
+def test_reindex_matches_the_reference(case):
+    p, sources, dim = case
+    result = _outcome(p.reindex, sources, dim)
+    assert result == _outcome(reference_reindex, p, sources, dim)
+    if isinstance(result, Polynomial):
+        assert is_canonical(result) and has_normal_coefficients(result)
 
 
 @given(poly_lists())
