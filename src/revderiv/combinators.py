@@ -173,7 +173,6 @@ def is_klinear_in_block(f: PolyMap, j: int) -> bool:
 def is_dlinear(f: PolyMap, j: int) -> bool:
     """True iff the j-th partial forward derivative of f is f itself applied
     to the fresh vector argument (for any base value of block j)."""
-    f.domain.check_block(j)
     nb = f.domain.block_count
     lhs = partial_forward(f, j)
     placement = {t: t for t in range(1, nb + 1) if t != j}

@@ -35,19 +35,18 @@ def random_monomial(rng: random.Random, dim: int, max_degree: int) -> tuple[int,
     return tuple(exps)
 
 
-def random_polynomial(rng: random.Random, dim: int, max_degree: int,
-                      max_terms: int = MAX_TERMS) -> Polynomial:
+def random_polynomial(rng: random.Random, dim: int, max_degree: int) -> Polynomial:
     # a seed fixes the corpus only while each term draws its monomial, then its coefficient
     return _accumulate(dim, ((random_monomial(rng, dim, max_degree), rng.choice(COEFF_POOL))
-                             for _ in range(rng.randint(1, max_terms))))
+                             for _ in range(rng.randint(1, MAX_TERMS))))
 
 
 def random_map(rng: random.Random, profile: ArityProfile, codomain_dim: int,
-               max_degree: int, max_terms: int = MAX_TERMS) -> PolyMap:
+               max_degree: int) -> PolyMap:
     dim = profile.total
     return PolyMap(
         profile,
-        tuple(random_polynomial(rng, dim, max_degree, max_terms) for _ in range(codomain_dim)),
+        tuple(random_polynomial(rng, dim, max_degree) for _ in range(codomain_dim)),
     )
 
 

@@ -12,9 +12,10 @@ drives an outer reverse derivative of f, the remaining blocks contribute
 based at f(a0) and fed with the covector.  Summed over all partitions with
 1 in the first block, this reconstructs the order-(n+1) reverse derivative
 of the composite.  Both sums are compared with the total derivative of the
-composite, which runs the same kernel as the summands' towers; the oracles
-that share no code with the kernel are the ``second-reverse`` law and
-``tests/test_jet_oracle.py``.
+composite, which runs the same kernel as the summands' towers but is called
+directly: the tower caches keep only the towers of f and g, which the summands
+share.  The oracles that share no code with the kernel are the
+``second-reverse`` law and ``tests/test_jet_oracle.py``.
 
 A summand is natural in its labels: for a bijection sigma of {1, ..., n+1},
 the summand of sigma(pi) is the summand of pi with its vector blocks
@@ -45,6 +46,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass
 
+from .combinators import forward_derivative, reverse_derivative
 from .maps import ArityProfile, PolyMap, compose, pair, precompose_blocks, projection, sum_maps
 from .partitions import SetPartition, enumerate_partitions
 from .poly import Monomial, Polynomial, _text
@@ -102,18 +104,6 @@ class FdbReport:
             "equal": self.equal,
             "first_difference": self.first_difference,
         }
-
-
-def _check_composable(f: PolyMap, g: PolyMap, n: int) -> None:
-    if f.domain.block_count != 1 or g.domain.block_count != 1:
-        raise ValueError("the partition formulas expect single-block maps")
-    if g.domain.total != f.codomain_dim:
-        raise ValueError(
-            f"maps do not compose: inner has {f.codomain_dim} outputs, "
-            f"outer expects {g.domain.total}"
-        )
-    if n < 0:
-        raise ValueError("derivative order offset n must be nonnegative")
 
 
 class _Inner:
@@ -225,9 +215,12 @@ def fdb_report(f: PolyMap, g: PolyMap, n: int, mode: str) -> FdbReport:
     """Per-partition breakdown of either formula next to the iterated oracle."""
     if mode not in ("forward", "reverse"):
         raise ValueError(f"unknown mode {mode!r}: expected 'forward' or 'reverse'")
-    _check_composable(f, g, n)
-    # the oracle goes first: its domain is the summands' domain
-    oracle = (forward_tower if mode == "forward" else reverse_tower)(compose(g, f), n + 1)
+    if n < 0:
+        raise ValueError("derivative order offset n must be nonnegative")
+    # compose refuses maps that do not compose, the oracle a multi-block f and
+    # the first summand's tower of g a multi-block g.  The oracle goes first,
+    # as its domain is the summands'.
+    oracle = (forward_derivative if mode == "forward" else reverse_derivative)(compose(g, f), n + 1)
     summands = _summands(f, g, oracle.domain, n, mode)
     total = sum_maps(oracle.domain, oracle.codomain_dim, [s.result for s in summands])
     return FdbReport(

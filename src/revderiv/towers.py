@@ -2,9 +2,10 @@
 
 Each tower is a :func:`functools.lru_cache` of 4,096 ``(map, order)``
 entries over one call of the total derivative of
-:mod:`revderiv.combinators` at that order.  The partition sums of
-:mod:`revderiv.faa_di_bruno` ask for the same orders of the same maps across
-partitions, and read them here; everything else calls the total derivative.
+:mod:`revderiv.combinators` at that order.  The summands of the partition
+sums of :mod:`revderiv.faa_di_bruno` ask for the same orders of f and g across
+partitions, and read them here; everything else, the partition sums' oracle
+included, calls the total derivative.
 """
 
 from __future__ import annotations

@@ -133,14 +133,40 @@ def test_degenerate_middle_dimension():
 def test_interface_mismatch_rejected():
     f = parse_map("(x1, x1)")  # 1 -> 2
     g = parse_map("(x1^2)")    # 1 -> 1
-    with pytest.raises(ValueError):
-        fdb_report(f, g, 0, "forward")
-    with pytest.raises(ValueError):
-        fdb_report(f, g, 0, "reverse")
+    two_block = parse_map("(x1*x2)", blocks=(1, 1))
+    # maps that do not compose, a two-block f (refused by the oracle) and a
+    # two-block g that composes with f (refused by its tower in a summand)
+    for inner, outer in ((f, g), (two_block, g), (parse_map("(x1, x1^2)"), two_block)):
+        for mode in ("forward", "reverse"):
+            with pytest.raises(ValueError):
+                fdb_report(inner, outer, 0, mode)
     with pytest.raises(ValueError):
         fdb_report(g, g, 0, "sideways")
     with pytest.raises(ValueError):
         fdb_report(g, g, -1, "reverse")
+
+
+def test_oracle_is_not_read_from_the_tower_caches(monkeypatch):
+    # the summands read the towers of f and g; the composite's tower is built
+    # by the oracle alone, so it is called directly and never cached
+    f = parse_map("(x1^2 + x2, x1*x2^2)", blocks=(2,))
+    g = parse_map("(x1^3*x2 - x2^2)", blocks=(2,))
+    composite = compose(g, f)
+    assert composite not in (f, g)
+    asked = []
+
+    def recorder(tower):
+        def record(h, order):
+            asked.append(h)
+            return tower(h, order)
+        return record
+
+    monkeypatch.setattr(faa_di_bruno, "forward_tower", recorder(forward_tower))
+    monkeypatch.setattr(faa_di_bruno, "reverse_tower", recorder(reverse_tower))
+    for mode in ("forward", "reverse"):
+        for n in range(4):
+            assert fdb_report(f, g, n, mode).equal
+    assert asked and composite not in asked
 
 
 def test_report_json_shape():
