@@ -29,14 +29,21 @@ sizes.  Every other summand relabels its shape's by one permutation of the
 coordinates, which rewrites exponents only (Constantine & Savits, Trans. AMS
 348(2), 1996; Hardy, Electron. J. Combin. 13, 2006).
 
+Only the shapes the degrees allow are substituted.  An order-k tower
+vanishes past its map's degree and a summand is linear in each factor, so a
+shape with more blocks than deg g, or a block longer than deg f, is zero for
+every partition (Comtet, Advanced Combinatorics, 1974, ch. 3); its partitions
+share one zero map.  A shape that is zero only by cancellation is built.
+
 The partitions, their shapes and their relabellings sigma depend on n and
 the mode alone; a report reads them off one pass over the partitions.  A
 shape's representative is one of those partitions: the one whose blocks, in
 the shape's order, hold consecutive labels.  The report substitutes into each
-representative, building f at the base point and each block's forward factor
-of f once for all of them, relabels every other summand by routing its blocks
-through :func:`~revderiv.maps.precompose_blocks`, which relabels each monomial
-by one permutation, and reads each partition's factors off its blocks once.
+representative the degrees allow, building f at the base point and each
+block's forward factor of f once for all of them, relabels every other
+summand of those shapes by routing its blocks through
+:func:`~revderiv.maps.precompose_blocks`, which relabels each monomial by one
+permutation, and reads each partition's factors off its blocks once.
 A report's JSON prints all its maps with one shared table of monomial texts,
 since they share a domain and most monomials recur among them.
 """
@@ -46,8 +53,8 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass
 
-from .combinators import forward_derivative, reverse_derivative
-from .maps import ArityProfile, PolyMap, compose, pair, precompose_blocks, projection, sum_maps
+from .combinators import _require_single_block, forward_derivative, reverse_derivative
+from .maps import ArityProfile, PolyMap, compose, pair, precompose_blocks, projection, sum_maps, zero_map
 from .partitions import SetPartition, enumerate_partitions
 from .poly import Monomial, Polynomial, _text
 from .towers import forward_tower, reverse_tower
@@ -177,19 +184,23 @@ def _plan(n: int, mode: str) -> Iterator[tuple[SetPartition, tuple[int, ...], tu
 
 def _summands(f: PolyMap, g: PolyMap, dom: ArityProfile, n: int,
               mode: str) -> tuple[FdbSummand, ...]:
-    """Every partition's summand, with one real substitution per shape, made
-    on the shape's representative.  Every other summand is its shape
-    representative's relabelled by sigma: label t lives in domain block t+1,
-    after the base point's block 1, so the relabelled summand takes its
-    argument block t+1 from domain block sigma(t)+1."""
+    """Every partition's summand, with one real substitution per shape the
+    degrees allow, made on the shape's representative.  Every other summand is
+    its shape representative's relabelled by sigma: label t lives in domain
+    block t+1, after the base point's block 1, so the relabelled summand takes
+    its argument block t+1 from domain block sigma(t)+1."""
     build = _forward_summand if mode == "forward" else _reverse_summand
     inner = _Inner(f, dom)
     plan = list(_plan(n, mode))
-    reps = {shape: build(g, inner, part) for part, shape, sigma in plan if sigma is None}
+    # more blocks than deg g, or a block longer than deg f: one shared zero map
+    zero = zero_map(dom, g.codomain_dim if mode == "forward" else dom.block_dim(1))
+    deg_f, deg_g = f.max_degree(), g.max_degree()
+    reps = {shape: zero if len(shape) > deg_g or max(shape) > deg_f else build(g, inner, part)
+            for part, shape, sigma in plan if sigma is None}
     out = []
     for part, shape, sigma in plan:
         result = reps[shape]
-        if sigma is not None:
+        if sigma is not None and result is not zero:
             placement = {1: 1} | {t + 1: s + 1 for t, s in enumerate(sigma, start=1)}
             result = precompose_blocks(result, dom, placement)
         out.append(FdbSummand(part, _factors(part, mode), result))
@@ -217,10 +228,12 @@ def fdb_report(f: PolyMap, g: PolyMap, n: int, mode: str) -> FdbReport:
         raise ValueError(f"unknown mode {mode!r}: expected 'forward' or 'reverse'")
     if n < 0:
         raise ValueError("derivative order offset n must be nonnegative")
-    # compose refuses maps that do not compose, the oracle a multi-block f and
-    # the first summand's tower of g a multi-block g.  The oracle goes first,
-    # as its domain is the summands'.
+    # compose refuses maps that do not compose and the oracle a multi-block f.
+    # The oracle goes first, as its domain is the summands'.  A multi-block g
+    # is refused here, as the tower of g would refuse it: the summands build no
+    # tower of g when the degrees rule out every shape.
     oracle = (forward_derivative if mode == "forward" else reverse_derivative)(compose(g, f), n + 1)
+    _require_single_block(g, f"the total {mode} derivative")
     summands = _summands(f, g, oracle.domain, n, mode)
     total = sum_maps(oracle.domain, oracle.codomain_dim, [s.result for s in summands])
     return FdbReport(

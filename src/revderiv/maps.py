@@ -243,6 +243,9 @@ def precompose_blocks(f: PolyMap, src: ArityProfile, placement: Mapping[int, int
     that names each source block once (a permutation, a selection, a zero
     insertion) relabels each monomial once; one that duplicates a source block
     goes through substitution's one-term fold (see :meth:`Polynomial.reindex`).
+    The placement is checked once per call; a zero coordinate stays zero and
+    is not re-indexed.
     """
     sources = _routing(src, f.domain, placement)
-    return PolyMap(src, tuple(p.reindex(sources, src.total) for p in f.coords))
+    zero = Polynomial.zero(src.total)
+    return PolyMap(src, tuple(p.reindex(sources, src.total) if p.terms else zero for p in f.coords))

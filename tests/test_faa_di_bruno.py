@@ -135,8 +135,11 @@ def test_interface_mismatch_rejected():
     g = parse_map("(x1^2)")    # 1 -> 1
     two_block = parse_map("(x1*x2)", blocks=(1, 1))
     # maps that do not compose, a two-block f (refused by the oracle) and a
-    # two-block g that composes with f (refused by its tower in a summand)
-    for inner, outer in ((f, g), (two_block, g), (parse_map("(x1, x1^2)"), two_block)):
+    # two-block g that composes with f, also where the degrees of a constant f
+    # rule out every summand and no tower of g is built
+    constant = parse_map("(1, 2)", blocks=(1,))
+    for inner, outer in ((f, g), (two_block, g), (parse_map("(x1, x1^2)"), two_block),
+                         (constant, two_block)):
         for mode in ("forward", "reverse"):
             with pytest.raises(ValueError):
                 fdb_report(inner, outer, 0, mode)
@@ -327,9 +330,13 @@ def test_summand_oracle_catches_the_inverse_placement(mode, monkeypatch):
     assert summand_mismatches(mode) > 0
 
 
+# One substitution per shape, and none for a shape the degrees make zero: a
+# shape with more blocks than deg g, or a block longer than deg f, builds
+# nothing.  With deg f = 4 and deg g = 5 that rules out, in forward mode, (5)
+# at n = 4 and (6), (5, 1) and (1, 1, 1, 1, 1, 1) at n = 5.
 @pytest.mark.parametrize("mode, calls", [
-    ("forward", [1, 2, 3, 5, 7, 11]),
-    ("reverse", [1, 2, 4, 7, 12, 19]),
+    ("forward", [1, 2, 3, 5, 6, 8]),
+    ("reverse", [1, 2, 4, 7, 11, 15]),
 ])
 def test_one_substitution_per_shape_on_its_consecutive_partition(mode, calls, monkeypatch):
     name = "_forward_summand" if mode == "forward" else "_reverse_summand"
@@ -355,3 +362,29 @@ def test_one_substitution_per_shape_on_its_consecutive_partition(mode, calls, mo
             assert [label for block in part.blocks for label in block] == list(range(1, n + 2))
             sizes = part.block_sizes()
             assert list(sizes[fixed:]) == sorted(sizes[fixed:], reverse=True)
+
+
+def degree(h):
+    """The total degree of a map, -1 for the zero map, read off its terms."""
+    return max((sum(mono) for p in h.coords for mono, _ in p.terms), default=-1)
+
+
+@MODES
+def test_the_shapes_the_degrees_rule_out_are_zero(mode):
+    # built directly, every summand with more blocks than deg g or a block
+    # longer than deg f is the zero map, as the report says it is
+    zero_g = PolyMap(ArityProfile((2,)), (Polynomial.zero(2),) * 2)
+    constant_f = parse_map("(3, 1/2)", blocks=(2,))
+    pairs = corpus_pairs()
+    pairs += [(pairs[2][0], zero_g), (constant_f, pairs[2][1])]
+    ruled_out = 0
+    for f, g in pairs:
+        for n in range(5):
+            got = fdb_report(f, g, n, mode).summands
+            for s, t in zip(got, direct_summands(f, g, n, mode)):
+                sizes = t.partition.block_sizes()
+                if len(sizes) > degree(g) or max(sizes) > degree(f):
+                    ruled_out += 1
+                    assert t.result.is_zero()
+                    assert s == t
+    assert ruled_out > 0
