@@ -9,9 +9,9 @@ explicit ``random.Random`` so a seed reproduces a run byte-for-byte.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._records import FrozenRecord
 from .maps import ArityProfile, PolyMap
 from .poly import Coefficient, Polynomial, _accumulate
 
@@ -20,11 +20,13 @@ MAX_BLOCKS = 3  # blocks in a random profile
 MAX_TERMS = 4  # terms drawn per random polynomial
 
 
-@dataclass(frozen=True)
-class CorpusConfig:
-    max_dim: int = 3
-    max_degree: int = 3
-    max_order: int = 3
+class CorpusConfig(FrozenRecord):
+    """Bounds of the random maps: block dimension, degree, derivative order."""
+
+    __slots__ = ("max_dim", "max_degree", "max_order")
+
+    def __init__(self, max_dim: int = 3, max_degree: int = 3, max_order: int = 3) -> None:
+        self._init(max_dim, max_degree, max_order)
 
 
 def random_monomial(rng: random.Random, dim: int, max_degree: int) -> tuple[int, ...]:

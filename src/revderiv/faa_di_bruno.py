@@ -51,8 +51,8 @@ since they share a domain and most monomials recur among them.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass
 
+from ._records import FrozenRecord
 from .combinators import _require_single_block, forward_derivative, reverse_derivative
 from .maps import ArityProfile, PolyMap, compose, pair, precompose_blocks, projection, sum_maps, zero_map
 from .partitions import SetPartition, enumerate_partitions
@@ -63,23 +63,27 @@ from .towers import forward_tower, reverse_tower
 Factor = tuple[str, str, int]
 
 
-@dataclass(frozen=True)
-class FdbSummand:
-    partition: SetPartition
-    factors: tuple[Factor, ...]
-    result: PolyMap
+class FdbSummand(FrozenRecord):
+    """One partition's summand: the derivatives it multiplies and its map."""
+
+    __slots__ = ("partition", "factors", "result")
+
+    def __init__(self, partition: SetPartition, factors: tuple[Factor, ...],
+                 result: PolyMap) -> None:
+        self._init(partition, factors, result)
 
 
-@dataclass(frozen=True)
-class FdbReport:
-    mode: str
-    order: int  # the n of the order-(n+1) derivative
-    f_text: str
-    g_text: str
-    summands: tuple[FdbSummand, ...]
-    total: PolyMap
-    oracle: PolyMap
-    first_difference: str | None
+class FdbReport(FrozenRecord):
+    """Every summand of one partition sum, their total and the oracle;
+    ``order`` is the n of the order-(n+1) derivative."""
+
+    __slots__ = ("mode", "order", "f_text", "g_text", "summands", "total", "oracle",
+                 "first_difference")
+
+    def __init__(self, mode: str, order: int, f_text: str, g_text: str,
+                 summands: tuple[FdbSummand, ...], total: PolyMap, oracle: PolyMap,
+                 first_difference: str | None) -> None:
+        self._init(mode, order, f_text, g_text, summands, total, oracle, first_difference)
 
     @property
     def equal(self) -> bool:

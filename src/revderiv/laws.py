@@ -21,9 +21,9 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 
+from ._records import Record
 from .combinators import (
     _in_context,
     dagger,
@@ -75,24 +75,25 @@ def bell(n: int) -> int:
     return row[0]
 
 
-@dataclass
-class LawFailure:
-    law: str
-    maps: list[str]
-    lhs: str
-    rhs: str
+class LawFailure(Record):
+    """One failed case: the law's id, its printed inputs and both sides."""
+
+    __slots__ = ("law", "maps", "lhs", "rhs")
+
+    def __init__(self, law: str, maps: list[str], lhs: str, rhs: str) -> None:
+        self._init(law, maps, lhs, rhs)
 
 
-@dataclass
-class LawReport:
-    suite: str
-    seed: int
-    cases: int
-    failures: list[LawFailure]
-    elapsed_ms: int
-    laws: list[str] = field(default_factory=list)
-    # failures per entry of ``laws``; a law may report under a finer id
-    law_failures: list[int] = field(default_factory=list)
+class LawReport(Record):
+    """One suite's run: its failures, the ids of the laws that ran, and
+    ``law_failures``, the failures per entry of ``laws``; a law may report
+    under a finer id."""
+
+    __slots__ = ("suite", "seed", "cases", "failures", "elapsed_ms", "laws", "law_failures")
+
+    def __init__(self, suite: str, seed: int, cases: int, failures: list[LawFailure],
+                 elapsed_ms: int, laws: list[str], law_failures: list[int]) -> None:
+        self._init(suite, seed, cases, failures, elapsed_ms, laws, law_failures)
 
     @property
     def ok(self) -> bool:

@@ -12,16 +12,15 @@ A placement that names a block the target does not have is an ``IndexError``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Mapping, Sequence
 from fractions import Fraction
 from itertools import accumulate
-from typing import Mapping, Sequence
 
+from ._records import FrozenRecord
 from .poly import Coefficient, Polynomial
 
 
-@dataclass(frozen=True)
-class ArityProfile:
+class ArityProfile(FrozenRecord):
     """Dimensions of the factors of a product domain.
 
     A block may be 0-dimensional (the terminal object).  Flat coordinate
@@ -30,14 +29,23 @@ class ArityProfile:
     only ``blocks``.
     """
 
-    blocks: tuple[int, ...]
+    __slots__ = ("blocks", "_starts")
 
-    def __post_init__(self) -> None:
-        if not self.blocks:
+    def __init__(self, blocks: tuple[int, ...]) -> None:
+        if not blocks:
             raise ValueError("a profile needs at least one block")
-        if min(self.blocks) < 0:
-            raise ValueError(f"negative block dimension in {self.blocks}")
-        object.__setattr__(self, "_starts", tuple(accumulate(self.blocks, initial=0)))
+        if min(blocks) < 0:
+            raise ValueError(f"negative block dimension in {blocks}")
+        _set_blocks(self, blocks)
+        _set_starts(self, tuple(accumulate(blocks, initial=0)))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.blocks == other.blocks
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.blocks,))
 
     @property
     def total(self) -> int:
@@ -69,26 +77,31 @@ class ArityProfile:
         return "(" + ",".join(str(d) for d in self.blocks) + ")"
 
 
-@dataclass(frozen=True)
-class PolyMap:
+class PolyMap(FrozenRecord):
     """A tuple of polynomials over a shared block-structured domain.  Its hash
     is that of its fields, computed on first use and kept outside them."""
 
-    domain: ArityProfile
-    coords: tuple[Polynomial, ...]
-    _hash = None
+    __slots__ = ("domain", "coords", "_hash")
 
-    def __post_init__(self) -> None:
-        total = self.domain.total
-        for p in self.coords:
+    def __init__(self, domain: ArityProfile, coords: tuple[Polynomial, ...]) -> None:
+        total = domain.total
+        for p in coords:
             if p.dim != total:
                 raise ValueError(
                     f"coordinate polynomial has {p.dim} inputs, domain has {total}"
                 )
+        _set_domain(self, domain)
+        _set_coords(self, coords)
+        _set_hash(self, None)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.domain, self.coords) == (other.domain, other.coords)
+        return NotImplemented
 
     def __hash__(self) -> int:
         if self._hash is None:
-            object.__setattr__(self, "_hash", hash((self.domain, self.coords)))
+            _set_hash(self, hash((self.domain, self.coords)))
         return self._hash
 
     @property
@@ -116,6 +129,13 @@ class PolyMap:
 
     def __str__(self) -> str:
         return "(" + ", ".join(str(p) for p in self.coords) + ")"
+
+
+# the slots' own setters, which construction and the cached hash use as the
+# instances refuse setattr
+_set_blocks, _set_starts = ArityProfile.blocks.__set__, ArityProfile._starts.__set__
+_set_domain, _set_coords, _set_hash = (
+    PolyMap.domain.__set__, PolyMap.coords.__set__, PolyMap._hash.__set__)
 
 
 # -- basic constructions ----------------------------------------------------

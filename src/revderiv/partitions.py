@@ -13,18 +13,17 @@ partition last.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from ._records import FrozenRecord
 
 
-@dataclass(frozen=True)
-class SetPartition:
+class SetPartition(FrozenRecord):
     """Disjoint nonempty sorted blocks covering {1, ..., n}, ordered by minimum."""
 
-    blocks: tuple[tuple[int, ...], ...]
+    __slots__ = ("blocks",)
 
-    def __post_init__(self) -> None:
+    def __init__(self, blocks: tuple[tuple[int, ...], ...]) -> None:
         seen: set[int] = set()
-        for block in self.blocks:
+        for block in blocks:
             if not block:
                 raise ValueError("empty block in a set partition")
             if tuple(sorted(block)) != block:
@@ -35,9 +34,10 @@ class SetPartition:
         n = len(seen)
         if seen != set(range(1, n + 1)):
             raise ValueError(f"blocks must cover 1..{n} exactly")
-        mins = [block[0] for block in self.blocks]
+        mins = [block[0] for block in blocks]
         if mins != sorted(mins):
             raise ValueError("blocks must be ordered by their minimum element")
+        self._init(blocks)
 
     def block_sizes(self) -> tuple[int, ...]:
         return tuple(len(b) for b in self.blocks)
@@ -49,7 +49,7 @@ class SetPartition:
 def _built(blocks: tuple[tuple[int, ...], ...]) -> SetPartition:
     """A partition the enumeration built.  Its blocks are nonempty, sorted,
     disjoint, cover 1..n and are ordered by minimum by construction, so it
-    skips the checks of ``SetPartition.__post_init__``, which would take most
+    skips the checks of ``SetPartition.__init__``, which would take most
     of the time of an enumeration."""
     part = object.__new__(SetPartition)
     object.__setattr__(part, "blocks", blocks)

@@ -34,13 +34,14 @@ exact and has no such limit, when ``str`` or ``int`` refuses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable, Mapping, Sequence
 from decimal import Decimal
 from fractions import Fraction
 from itertools import compress, count
 from math import prod
 from operator import add, itemgetter
-from typing import Iterable, Mapping, Sequence
+
+from ._records import FrozenRecord
 
 
 Monomial = tuple[int, ...]
@@ -87,16 +88,26 @@ def _accumulate(dim: int, terms: Iterable[tuple[Monomial, Coefficient]]) -> "Pol
     return Polynomial(dim, _canonical_terms(acc.items()))
 
 
-@dataclass(frozen=True)
-class Polynomial:
+class Polynomial(FrozenRecord):
     """An exact polynomial in ``dim`` coordinates.
 
     ``terms`` is the canonical sorted tuple of (monomial, coefficient) pairs;
     use :meth:`from_dict` rather than the raw constructor.
     """
 
-    dim: int
-    terms: tuple[tuple[Monomial, Coefficient], ...]
+    __slots__ = ("dim", "terms")
+
+    def __init__(self, dim: int, terms: tuple[tuple[Monomial, Coefficient], ...]) -> None:
+        _set_dim(self, dim)
+        _set_terms(self, terms)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.dim, self.terms) == (other.dim, other.terms)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.dim, self.terms))
 
     # -- constructors -------------------------------------------------
 
@@ -308,6 +319,10 @@ class Polynomial:
 
     def __str__(self) -> str:
         return _text(self)
+
+
+# the slots' own setters, which construction uses as the instances refuse setattr
+_set_dim, _set_terms = Polynomial.dim.__set__, Polynomial.terms.__set__
 
 
 def _text(p: Polynomial, names: dict[Monomial, str] | None = None) -> str:

@@ -29,8 +29,8 @@ writes parses back.
 from __future__ import annotations
 
 import re
+from collections.abc import Callable, Sequence
 from fractions import Fraction
-from typing import Callable, Sequence
 
 from .maps import ArityProfile, PolyMap
 from .poly import Coefficient, Polynomial, _accumulate, _digits, _integer

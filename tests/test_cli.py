@@ -1,6 +1,5 @@
 """The command-line contract: outputs, exit codes, determinism."""
 
-import dataclasses
 import gc
 import json
 import math
@@ -15,6 +14,7 @@ from pathlib import Path
 import pytest
 
 from revderiv import cli, laws
+from revderiv.faa_di_bruno import FdbReport
 from revderiv.laws import LAWS, LawFailure
 from revderiv.maps import ArityProfile, zero_map
 from revderiv.syntax import parse_map
@@ -336,8 +336,9 @@ def test_verify_counts_each_failure_under_the_law_that_ran(capsys, monkeypatch):
 
     def short(f, g, n, mode):
         rep = real(f, g, n, mode)
-        return dataclasses.replace(rep, summands=rep.summands[1:],
-                                   total=zero_map(rep.total.domain, rep.total.codomain_dim))
+        return FdbReport(rep.mode, rep.order, rep.f_text, rep.g_text, rep.summands[1:],
+                         zero_map(rep.total.domain, rep.total.codomain_dim), rep.oracle,
+                         rep.first_difference)
 
     monkeypatch.setattr(laws, "fdb_report", short)
     args = ("--cases", "2", "--seed", "42")
@@ -581,3 +582,17 @@ def test_closed_pipe_exits_with_the_verdict_and_no_traceback():
     assert proc.wait(timeout=60) == 0
     assert first == b"{1}|{2}|{3}|{4}|{5}|{6}|{7}|{8}|{9}|{10}\n"
     assert err == b""
+
+
+def test_start_up_loads_no_dataclasses_inspect_or_typing():
+    # each command runs in a fresh process, where these modules would cost more
+    # than a small map's derivative; -S keeps site's own imports out
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = ("import sys\n"
+            "sys.path.insert(0, sys.argv[1])\n"
+            "import revderiv.cli\n"
+            "revderiv.cli.build_parser()\n"
+            "print(*sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))\n")
+    done = subprocess.run([sys.executable, "-I", "-S", "-c", code, src],
+                          capture_output=True, text=True, timeout=60, check=True)
+    assert done.stdout == "\n"

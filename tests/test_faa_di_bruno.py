@@ -1,6 +1,5 @@
 """Partition-sum chain rules against the iterated-derivative oracle."""
 
-import dataclasses
 import random
 import sys
 from fractions import Fraction
@@ -294,7 +293,7 @@ def same_shape_swap(summands):
         for idx in groups.values():
             maps = [out[i].result for i in idx]
             for i, m in zip(idx, maps[1:] + maps[:1]):
-                out[i] = dataclasses.replace(out[i], result=m)
+                out[i] = FdbSummand(out[i].partition, out[i].factors, m)
         return tuple(out)
 
     return swapped
