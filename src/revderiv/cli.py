@@ -25,7 +25,7 @@ import os
 import re
 import sys
 
-from .corpus import CorpusConfig
+from .corpus import MAX_BLOCKS, CorpusConfig
 from .combinators import partial_forward, partial_reverse
 from .faa_di_bruno import fdb_report
 from .laws import SUITE_NAMES, LawReport, run_suite
@@ -35,6 +35,8 @@ from .syntax import MAX_COORDINATES, ParseError, parse_map
 DEFAULT_FDB_CAP = 4
 DEFAULT_ORDER_CAP = 2000
 DEFAULT_PARTITIONS_CAP = 10  # Bell(10) = 115,975 partitions
+# a drawn profile of MAX_BLOCKS blocks stays within the widest map derive accepts
+MAX_DIM_CAP = MAX_COORDINATES // MAX_BLOCKS
 
 
 class _Refused(Exception):
@@ -116,6 +118,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
     for name in ("cases", "max_dim", "max_deg", "max_order"):
         if getattr(args, name) < 1:
             raise _Refused(f"--{name.replace('_', '-')} must be positive")
+    _check_cap("--max-dim", args.max_dim, MAX_DIM_CAP,
+               f"a drawn map has up to {MAX_BLOCKS} blocks, and derive takes "
+               f"{MAX_COORDINATES} coordinates")
     names = list(SUITE_NAMES) if args.suite == "all" else [args.suite]
     if {"fdb-forward", "fdb-reverse"} & set(names):
         # the fdb laws check Bell(max_order + 1) summands per case
@@ -240,7 +245,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--seed", type=int, default=None,
                           help="corpus seed (default: $RFDB_SEED or 42)")
     p_verify.add_argument("--cases", type=int, default=100)
-    p_verify.add_argument("--max-dim", type=int, default=3)
+    p_verify.add_argument("--max-dim", type=int, default=3,
+                          help=f"largest block dimension of a drawn map, at most {MAX_DIM_CAP}")
     p_verify.add_argument("--max-deg", type=int, default=3)
     p_verify.add_argument("--max-order", type=int, default=3,
                           help=f"highest derivative order offset (at most {DEFAULT_FDB_CAP} "

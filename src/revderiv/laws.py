@@ -10,7 +10,7 @@ block j of any domain profile: the ``rd-axioms`` suite checks it at j = 1 of a
 one-block map, and the ``context`` suite checks the same body at block 2 of
 (C1, A, C2).  Linearity, covector linearity, tuples, the chain rule and mixed
 partials are shared this way, and the transpose of the forward derivative
-serves rd6, transpose-of-forward and dagger-partial.
+serves rd6 and dagger-partial.
 
 Every law has one exit and one failure constructor: ``_flag`` alone builds a
 ``LawFailure``, and a law with several checks returns ``_first`` over a lazy
@@ -370,15 +370,6 @@ def law_ctx_tuple(rng: random.Random, cfg: CorpusConfig) -> LawFailure | None:
 # -- transpose laws -----------------------------------------------------------
 
 
-def law_transpose_of_forward(rng: random.Random, cfg: CorpusConfig) -> LawFailure | None:
-    return _transpose_of_forward("transpose-of-forward", random_single_block_map(rng, cfg), 1)
-
-
-def law_forward_from_reverse(rng: random.Random, cfg: CorpusConfig) -> LawFailure | None:
-    f = random_single_block_map(rng, cfg)
-    return _cmp("forward-from-reverse", [f], dagger(reverse_derivative(f), 2), forward_derivative(f))
-
-
 def law_dagger_contravariance(rng: random.Random, cfg: CorpusConfig) -> LawFailure | None:
     c1 = rng.randint(1, cfg.max_dim)
     c2 = rng.randint(1, cfg.max_dim)
@@ -555,21 +546,6 @@ def law_fdb_reverse_base(rng: random.Random, cfg: CorpusConfig) -> LawFailure | 
     return _cmp("fdb-reverse-base", [f, g], rep.total, _chain_rhs(f, g, 1))
 
 
-def law_fdb_reverse_structure(rng: random.Random, cfg: CorpusConfig) -> LawFailure | None:
-    """The reverse sum never takes a forward derivative of the outer map."""
-    f, g = random_composable_pair(rng, cfg)
-    n = rng.randint(0, cfg.max_order)
-    rep = fdb_report(f, g, n, "reverse")
-
-    def checks():
-        for s in rep.summands:
-            for kind, which, _ in s.factors:
-                if which == "g":
-                    yield _flag("fdb-reverse-structure", [f, g], kind == "reverse",
-                                f"{kind} factor on g in {s.partition}", "reverse factors only on g")
-    return _first(checks())
-
-
 SuiteLaw = tuple[str, Callable[[random.Random, CorpusConfig], LawFailure | None]]
 
 LAWS: dict[str, list[SuiteLaw]] = {
@@ -596,8 +572,6 @@ LAWS: dict[str, list[SuiteLaw]] = {
         ("ctx-tuple", law_ctx_tuple),
     ],
     "dagger": [
-        ("transpose-of-forward", law_transpose_of_forward),
-        ("forward-from-reverse", law_forward_from_reverse),
         ("dagger-contravariance", law_dagger_contravariance),
         ("dagger-base-independence", law_dagger_base_independence),
         ("dagger-partial", law_dagger_partial),
@@ -621,7 +595,6 @@ LAWS: dict[str, list[SuiteLaw]] = {
     "fdb-reverse": [
         ("fdb-reverse", law_fdb_reverse),
         ("fdb-reverse-base", law_fdb_reverse_base),
-        ("fdb-reverse-structure", law_fdb_reverse_structure),
     ],
 }
 

@@ -43,7 +43,6 @@ from revderiv.laws import (
     law_stable_context,
     law_tower_dlinear,
     law_tower_symmetry,
-    law_transpose_of_forward,
 )
 from revderiv.maps import ArityProfile, compose, pair, select_blocks
 from revderiv.syntax import parse_map
@@ -96,7 +95,6 @@ def test_criterion_2_context_suite():
 
 def test_criterion_3_dagger_suite():
     laws = [
-        ("transpose-of-forward", law_transpose_of_forward),
         ("dagger-contravariance", law_dagger_contravariance),
         ("dagger-base-independence", law_dagger_base_independence),
         ("dagger-partial", law_dagger_partial),

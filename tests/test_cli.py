@@ -15,7 +15,7 @@ import pytest
 
 from revderiv import cli, laws
 from revderiv.faa_di_bruno import FdbReport
-from revderiv.laws import LAWS, LawFailure
+from revderiv.laws import LAWS, LawFailure, LawReport
 from revderiv.maps import ArityProfile, zero_map
 from revderiv.syntax import parse_map
 
@@ -349,15 +349,34 @@ def test_verify_counts_each_failure_under_the_law_that_ran(capsys, monkeypatch):
     assert out.count("  FAIL fdb-forward-count\n") == 2
     code, out, _ = run_cli(capsys, "verify", "--suite", "fdb-reverse", *args)
     assert code == 1
+    assert ", 2 laws, 4 failures (" in out.splitlines()[0]
     assert out.splitlines()[1:4] == [
         "  fdb-reverse: 2 cases, 2 failures",
         "  fdb-reverse-base: 2 cases, 2 failures",
-        "  fdb-reverse-structure: 2 cases, ok",
+        "  FAIL fdb-reverse-count",
     ]
     # the failure ids in the JSON are the ones the laws reported
     code, out, _ = run_cli(capsys, "verify", "--suite", "fdb-reverse", *args, "--json")
     assert [f["law"] for f in json.loads(out)["failures"]] == ["fdb-reverse-count"] * 2 + [
         "fdb-reverse-base"] * 2
+
+
+def test_verify_max_dim_is_capped_before_any_law_runs(capsys, monkeypatch):
+    # three blocks of the largest dimension stay within the widest map derive accepts
+    assert cli.MAX_DIM_CAP == 333
+    ran = []
+
+    def record(suite, seed, cases, cfg):
+        ran.append(cfg.max_dim)
+        return LawReport(suite, seed, cases, [], 0, [], [])
+
+    monkeypatch.setattr(cli, "run_suite", record)
+    code, out, err = run_cli(capsys, "verify", "--max-dim", "334")
+    assert code == 2 and out == "" and ran == []
+    assert "--max-dim 334 exceeds the cap 333" in err
+    # the cap itself passes the check and reaches the suites
+    code, _, _ = run_cli(capsys, "verify", "--suite", "stable", "--max-dim", "333")
+    assert code == 0 and ran == [333]
 
 
 def test_verify_seed_env_var(capsys, monkeypatch):
@@ -475,6 +494,9 @@ REFUSALS = [
     (["verify", "--max-dim", "0"], {}, "error: --max-dim must be positive\n"),
     (["verify", "--max-deg", "-1"], {}, "error: --max-deg must be positive\n"),
     (["verify", "--max-order", "0"], {}, "error: --max-order must be positive\n"),
+    (["verify", "--max-dim", "334"], {},
+     "error: --max-dim 334 exceeds the cap 333; a drawn map has up to 3 blocks, and derive "
+     "takes 1000 coordinates\n"),
     (["verify", "--suite", "fdb-reverse", "--max-order", "5"], {},
      "error: --max-order 5 exceeds the cap 4; the fdb suites go no higher; pick another --suite\n"),
     (["verify", "--suite", "rd-axioms"], {"RFDB_SEED": "abc"},

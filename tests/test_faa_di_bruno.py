@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from revderiv import faa_di_bruno
+from revderiv.combinators import dagger
 from revderiv.corpus import CorpusConfig, random_composable_pair, random_map
 from revderiv.faa_di_bruno import (
     _factors,
@@ -154,21 +155,29 @@ def test_oracle_is_not_read_from_the_tower_caches(monkeypatch):
     f = parse_map("(x1^2 + x2, x1*x2^2)", blocks=(2,))
     g = parse_map("(x1^3*x2 - x2^2)", blocks=(2,))
     composite = compose(g, f)
-    assert composite not in (f, g)
-    asked = []
+    assert f != g and composite not in (f, g)
+    calls = []
 
-    def recorder(tower):
+    def recorder(name, tower):
         def record(h, order):
-            asked.append(h)
+            calls.append((name, h))
             return tower(h, order)
         return record
 
-    monkeypatch.setattr(faa_di_bruno, "forward_tower", recorder(forward_tower))
-    monkeypatch.setattr(faa_di_bruno, "reverse_tower", recorder(reverse_tower))
+    monkeypatch.setattr(faa_di_bruno, "forward_tower", recorder("forward", forward_tower))
+    monkeypatch.setattr(faa_di_bruno, "reverse_tower", recorder("reverse", reverse_tower))
+    asked = {}
     for mode in ("forward", "reverse"):
+        start = len(calls)
         for n in range(4):
             assert fdb_report(f, g, n, mode).equal
-    assert asked and composite not in asked
+        asked[mode] = set(calls[start:])
+    assert calls and composite not in {h for _, h in calls}
+    # the forward sum takes no reverse tower; the reverse sum reads g through
+    # its reverse tower alone and never takes a forward derivative of it
+    assert {name for name, _ in asked["forward"]} == {"forward"}
+    assert ("reverse", g) in asked["reverse"]
+    assert ("forward", g) not in asked["reverse"]
 
 
 def test_report_json_shape():
@@ -327,6 +336,43 @@ def test_summand_oracle_catches_a_same_shape_swap(mode, monkeypatch):
 def test_summand_oracle_catches_the_inverse_placement(mode, monkeypatch):
     monkeypatch.setattr(faa_di_bruno, "_plan", inverse_placement(faa_di_bruno._plan))
     assert summand_mismatches(mode) > 0
+
+
+# -- the reverse sum is the forward sum transposed, summand by summand -----------
+
+
+def bridge_mismatches():
+    """Partitions, for corpus pairs and n <= 4, whose reverse summand is not
+    their forward summand transposed in block 2, label 1's vector block."""
+    bad = 0
+    for f, g in corpus_pairs():
+        for n in range(5):
+            fwd, rev = (fdb_report(f, g, n, mode).summands for mode in ("forward", "reverse"))
+            assert [s.partition for s in fwd] == [s.partition for s in rev]
+            bad += sum(dagger(s.result, 2) != t.result for s, t in zip(fwd, rev))
+    return bad
+
+
+def test_reverse_summands_are_the_forward_summands_transposed():
+    assert bridge_mismatches() == 0
+
+
+def test_transpose_bridge_catches_a_same_shape_swap(monkeypatch):
+    # the swap in the reverse reports only
+    real = faa_di_bruno._summands
+    swapped = same_shape_swap(real)
+    monkeypatch.setattr(faa_di_bruno, "_summands", lambda f, g, dom, n, mode: (
+        swapped if mode == "reverse" else real)(f, g, dom, n, mode))
+    # the totals cannot see the swap
+    for f, g in corpus_pairs():
+        for n in range(5):
+            assert fdb_report(f, g, n, "reverse").equal
+    assert bridge_mismatches() > 0
+
+
+def test_transpose_bridge_catches_the_inverse_placement(monkeypatch):
+    monkeypatch.setattr(faa_di_bruno, "_plan", inverse_placement(faa_di_bruno._plan))
+    assert bridge_mismatches() > 0
 
 
 # One substitution per shape, and none for a shape the degrees make zero: a

@@ -87,12 +87,13 @@ def test_run_suites_order_preserved():
     assert [r.suite for r in reports] == ["stable", "rd-axioms"]
 
 
-def test_transpose_of_forward_failures_carry_its_own_id(monkeypatch):
-    # a broken transpose makes the law fail on every case
+def test_dagger_partial_failures_carry_its_own_id(monkeypatch):
+    # a broken transpose makes the law fail on every case: dagger-partial runs
+    # the transpose of the forward derivative that rd6 shares
     monkeypatch.setattr(laws, "dagger", lambda f, j: identity(1))
-    monkeypatch.setitem(LAWS, "dagger", [("transpose-of-forward", laws.law_transpose_of_forward)])
+    monkeypatch.setitem(LAWS, "dagger", [("dagger-partial", laws.law_dagger_partial)])
     report = run_suite("dagger", seed=1, cases=3)
-    assert [f.law for f in report.failures] == ["transpose-of-forward"] * 3
+    assert [f.law for f in report.failures] == ["dagger-partial"] * 3
 
 
 @pytest.mark.parametrize("mode", ["forward", "reverse"])
