@@ -8,26 +8,26 @@ Subcommands:
 * ``fdb``         evaluate a partition-sum chain rule against its oracle
 
 Exit codes: 0 all checks passed, 1 a law or identity failed (a witness is
-printed), 2 usage or parse error.  Variables in printed derivatives continue
-the x-numbering after the input coordinates: for f over x1..xN the covector
-or vector arguments start at x(N+1).  ``RFDB_SEED`` sets the default seed;
+printed), 2 usage or parse error.  A command settles its exit code before it
+writes anything; ``fdb`` then writes its report one summand at a time.
+Variables in printed derivatives continue the x-numbering after the input
+coordinates: for f over x1..xN the covector or vector arguments start at
+x(N+1).  ``RFDB_SEED`` sets the default seed;
 ``--seed`` overrides it.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import functools
-import io
-import json
 import os
 import re
 import sys
+from collections.abc import Iterable, Iterator
 
 from .corpus import MAX_BLOCKS, CorpusConfig
 from .combinators import partial_forward, partial_reverse
-from .faa_di_bruno import fdb_report
+from .faa_di_bruno import FdbReport, fdb_report
 from .laws import SUITE_NAMES, LawReport, run_suite
 from .partitions import enumerate_partitions
 from .syntax import MAX_COORDINATES, ParseError, parse_map
@@ -42,6 +42,33 @@ MAX_DIM_CAP = MAX_COORDINATES // MAX_BLOCKS
 class _Refused(Exception):
     """A command refuses its input: ``main`` prints ``error: <message>`` and any
     further lines to stderr, and exits 2."""
+
+
+def _json(value: object, indent: int | None = None) -> str:
+    """``json.dumps``; the module is imported on first use, so only a command
+    that prints JSON loads it."""
+    import json
+    return json.dumps(value, indent=indent)
+
+
+def _json_chunks(payload: dict) -> Iterator[str]:
+    """The text of ``json.dumps(payload, indent=2)`` and a newline, in pieces:
+    a value that is an iterator is written as a list, one item at a time."""
+
+    def dump(value: object, indent: str) -> str:
+        return _json(value, 2).replace("\n", "\n" + indent)
+
+    for i, (key, value) in enumerate(payload.items()):
+        yield f'{"," if i else "{"}\n  {_json(key)}: '
+        if not isinstance(value, Iterator):
+            yield dump(value, "  ")
+            continue
+        sep = "["
+        for item in value:
+            yield f"{sep}\n    {dump(item, '    ')}"
+            sep = ","
+        yield "[]" if sep == "[" else "\n  ]"
+    yield "\n}\n"
 
 
 def _check_cap(name: str, value: int, cap: int, remedy: str) -> None:
@@ -68,7 +95,11 @@ def _parse_blocks(text: str | None) -> tuple[int, ...] | None:
     return blocks
 
 
-def cmd_derive(args: argparse.Namespace) -> int:
+# a command returns its exit code and the text it writes to stdout
+Outcome = tuple[int, Iterable[str]]
+
+
+def cmd_derive(args: argparse.Namespace) -> Outcome:
     # every monomial of the map gets one exponent per declared coordinate
     _check_cap("--blocks total", sum(args.blocks or ()), MAX_COORDINATES,
                "a map has at most that many coordinates")
@@ -87,34 +118,30 @@ def cmd_derive(args: argparse.Namespace) -> int:
     except (ValueError, IndexError) as err:
         raise _Refused(str(err)) from err
     if args.json:
-        print(json.dumps({
+        return 0, [_json({
             "map": str(result),
             "domain_blocks": list(result.domain.blocks),
             "codomain_dim": result.codomain_dim,
-        }))
-    else:
-        print(result)
-    return 0
+        }) + "\n"]
+    return 0, [f"{result}\n"]
 
 
-def _print_report(report: LawReport) -> None:
+def _report_lines(report: LawReport) -> Iterator[str]:
     status = "ok" if report.ok else f"{len(report.failures)} failures"
-    print(
-        f"suite {report.suite}: seed {report.seed}, {report.cases} cases per law, "
-        f"{len(report.laws)} laws, {status} ({report.elapsed_ms} ms)"
-    )
+    yield (f"suite {report.suite}: seed {report.seed}, {report.cases} cases per law, "
+           f"{len(report.laws)} laws, {status} ({report.elapsed_ms} ms)\n")
     for law, count in zip(report.laws, report.law_failures):
         verdict = "ok" if count == 0 else f"{count} failures"
-        print(f"  {law}: {report.cases} cases, {verdict}")
+        yield f"  {law}: {report.cases} cases, {verdict}\n"
     for failure in report.failures:
-        print(f"  FAIL {failure.law}")
+        yield f"  FAIL {failure.law}\n"
         for m in failure.maps:
-            print(f"    map: {m}")
-        print(f"    lhs: {failure.lhs}")
-        print(f"    rhs: {failure.rhs}")
+            yield f"    map: {m}\n"
+        yield f"    lhs: {failure.lhs}\n"
+        yield f"    rhs: {failure.rhs}\n"
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
+def cmd_verify(args: argparse.Namespace) -> Outcome:
     for name in ("cases", "max_dim", "max_deg", "max_order"):
         if getattr(args, name) < 1:
             raise _Refused(f"--{name.replace('_', '-')} must be positive")
@@ -142,34 +169,40 @@ def cmd_verify(args: argparse.Namespace) -> int:
         max_dim=args.max_dim, max_degree=args.max_deg, max_order=args.max_order
     )
     reports = [run_suite(name, seed, args.cases, cfg) for name in names]
+    code = 0 if all(r.ok for r in reports) else 1
     if args.json:
         payload = [r.to_json() for r in reports]
-        print(json.dumps(payload[0] if args.suite != "all" else payload, indent=2))
-    else:
-        for report in reports:
-            _print_report(report)
-    return 0 if all(r.ok for r in reports) else 1
+        return code, [_json(payload[0] if args.suite != "all" else payload, 2) + "\n"]
+    return code, [line for report in reports for line in _report_lines(report)]
 
 
-def cmd_partitions(args: argparse.Namespace) -> int:
+def cmd_partitions(args: argparse.Namespace) -> Outcome:
     if args.n < 1:
         raise _Refused("n must be at least 1")
     _check_cap("n", args.n, args.max_n, "raise --max-n if you mean it")
     parts = enumerate_partitions(args.n)
     if args.json:
-        print(json.dumps({
+        return 0, [_json({
             "n": args.n,
             "count": len(parts),
             "partitions": [[list(b) for b in p.blocks] for p in parts],
-        }))
-    else:
-        for p in parts:
-            print(p)
-        print(f"count {len(parts)}")
-    return 0
+        }) + "\n"]
+    return 0, ["".join(f"{p}\n" for p in parts) + f"count {len(parts)}\n"]
 
 
-def cmd_fdb(args: argparse.Namespace) -> int:
+def _fdb_lines(report: FdbReport) -> Iterator[str]:
+    # the text report prints the JSON payload's strings: one monomial table for both
+    payload = report.json_stream()
+    yield f"mode {report.mode}, n={report.order}: {len(report.summands)} summands\n"
+    for s in payload["summands"]:
+        sizes = ",".join(map(str, s["block_sizes"]))
+        yield f"  {s['partition']}: sizes [{sizes}], map {s['map']}\n"
+    yield f"total:  {payload['total']}\n"
+    yield f"oracle: {payload['oracle']}\n"
+    yield "verdict: equal\n" if report.equal else f"verdict: NOT equal ({report.first_difference})\n"
+
+
+def cmd_fdb(args: argparse.Namespace) -> Outcome:
     if args.n < 0:
         raise _Refused("--n must be nonnegative")
     _check_cap("--n", args.n, args.max_n, "raise --max-n if you mean it")
@@ -185,22 +218,9 @@ def cmd_fdb(args: argparse.Namespace) -> int:
         report = fdb_report(f, g, args.n, args.mode)
     except ValueError as err:
         raise _Refused(str(err)) from err
-    # the text report prints the JSON payload's strings: one monomial table for both
-    payload = report.to_json()
-    if args.json:
-        print(json.dumps(payload, indent=2))
-    else:
-        print(f"mode {report.mode}, n={report.order}: {len(report.summands)} summands")
-        for s in payload["summands"]:
-            sizes = ",".join(map(str, s["block_sizes"]))
-            print(f"  {s['partition']}: sizes [{sizes}], map {s['map']}")
-        print(f"total:  {payload['total']}")
-        print(f"oracle: {payload['oracle']}")
-        if report.equal:
-            print("verdict: equal")
-        else:
-            print(f"verdict: NOT equal ({report.first_difference})")
-    return 0 if report.equal else 1
+    # the report holds its total and verdict; its summands are built as they are written
+    out = _json_chunks(report.json_stream()) if args.json else _fdb_lines(report)
+    return 0 if report.equal else 1, out
 
 
 @functools.cache
@@ -291,16 +311,15 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     # the verdict is settled before anything reaches stdout, so a reader that
     # closes the pipe early cannot change the exit status
-    out = io.StringIO()
     try:
-        with contextlib.redirect_stdout(out):
-            code = args.func(args)
+        code, out = args.func(args)
     except (_Refused, ParseError) as err:
         message, *lines = err.args if isinstance(err, _Refused) else (err.message, err.caret_text())
         print(f"error: {message}", *lines, sep="\n", file=sys.stderr)
         return 2
     try:
-        sys.stdout.write(out.getvalue())
+        for chunk in out:
+            sys.stdout.write(chunk)
         sys.stdout.flush()
     except BrokenPipeError:
         # keep the interpreter's final flush from failing on the closed pipe

@@ -35,32 +35,48 @@ shape with more blocks than deg g, or a block longer than deg f, is zero for
 every partition (Comtet, Advanced Combinatorics, 1974, ch. 3); its partitions
 share one zero map.  A shape that is zero only by cancellation is built.
 
-The partitions, their shapes and their relabellings sigma depend on n and
-the mode alone; a report reads them off one pass over the partitions.  A
-shape's representative is one of those partitions: the one whose blocks, in
-the shape's order, hold consecutive labels.  The report substitutes into each
-representative the degrees allow, building f at the base point and each
-block's forward factor of f once for all of them, relabels every other
-summand of those shapes by routing its blocks through
-:func:`~revderiv.maps.precompose_blocks`, which relabels each monomial by one
-permutation, and reads each partition's factors off its blocks once.
-A report's JSON prints all its maps with one shared table of monomial texts,
-since they share a domain and most monomials recur among them.
+The partitions, their shapes and their relabellings depend on n, the mode
+and the domain's block dimensions alone; a report reads them off one pass
+over the partitions, its *plan*.  A shape's representative is one of those
+partitions: the one whose blocks, in the shape's order, hold consecutive
+labels.  The report substitutes into each representative the degrees allow,
+building f at the base point and each block's forward factor of f once for
+all of them; a representative that cancels to zero joins the shared zero
+map.  Every other partition's relabelling is one permutation of the domain's
+coordinates, built from the block offsets, and the total adds each
+partition's relabelled representative straight into one dict per output
+coordinate, with no summand map built.
+
+A report therefore holds its plan, one map per shape representative, the
+total and the oracle, never the Bell(n+1) summands: ``report.summands`` has
+their count at no cost and builds each summand only when it is read, and
+:meth:`FdbReport.json_stream` prints them one at a time, with one table of
+monomial texts for every map, since they share a domain and most monomials
+recur among them.  Apart from that table, a report's output needs memory for
+one summand, however many partitions there are.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
+from itertools import chain
+from operator import itemgetter
 
 from ._records import FrozenRecord
 from .combinators import _require_single_block, forward_derivative, reverse_derivative
-from .maps import ArityProfile, PolyMap, compose, pair, precompose_blocks, projection, sum_maps, zero_map
+from .maps import ArityProfile, PolyMap, compose, pair, precompose_blocks, projection, zero_map
 from .partitions import SetPartition, enumerate_partitions
-from .poly import Monomial, Polynomial, _text
+from .poly import Coefficient, Monomial, Polynomial, _accumulate, _text
 from .towers import forward_tower, reverse_tower
 
 # (combinator, which map, order): e.g. ("forward", "f", 2)
 Factor = tuple[str, str, int]
+# a partition, its shape, and the coordinate permutation that relabels its
+# shape representative's summand into its own, or None where the summand is
+# its shape's map itself: the representative's, or a ruled-out shape's zero
+PlanEntry = tuple[SetPartition, tuple[int, ...], tuple[int, ...] | None]
+# one coordinate's terms as columns: degrees, monomials, coefficients
+Columns = tuple[list[int], list[Monomial], list[Coefficient]]
 
 
 class FdbSummand(FrozenRecord):
@@ -74,47 +90,94 @@ class FdbSummand(FrozenRecord):
 
 
 class FdbReport(FrozenRecord):
-    """Every summand of one partition sum, their total and the oracle;
-    ``order`` is the n of the order-(n+1) derivative."""
+    """One partition sum: its plan, one map per shape representative (in the
+    order the plan meets the shapes), their total and the oracle; ``order`` is
+    the n of the order-(n+1) derivative.  The summands are built on demand."""
 
-    __slots__ = ("mode", "order", "f_text", "g_text", "summands", "total", "oracle",
+    __slots__ = ("mode", "order", "f", "g", "plan", "reps", "total", "oracle",
                  "first_difference")
 
-    def __init__(self, mode: str, order: int, f_text: str, g_text: str,
-                 summands: tuple[FdbSummand, ...], total: PolyMap, oracle: PolyMap,
-                 first_difference: str | None) -> None:
-        self._init(mode, order, f_text, g_text, summands, total, oracle, first_difference)
+    def __init__(self, mode: str, order: int, f: PolyMap, g: PolyMap,
+                 plan: tuple[PlanEntry, ...], reps: tuple[tuple[tuple[int, ...], PolyMap], ...],
+                 total: PolyMap, oracle: PolyMap, first_difference: str | None) -> None:
+        self._init(mode, order, f, g, plan, reps, total, oracle, first_difference)
 
     @property
     def equal(self) -> bool:
         return self.first_difference is None
 
-    def to_json(self) -> dict:
+    @property
+    def summands(self) -> _Summands:
+        """Every partition's summand, in canonical partition order, built when read."""
+        return _Summands(self)
+
+    def _stream(self) -> Iterator[tuple[SetPartition, tuple[int, ...], PolyMap]]:
+        """Each partition, its block sizes and its summand, one at a time."""
+        reps, columns = dict(self.reps), _columns(self.reps)
+        for part, shape, picks in self.plan:
+            yield part, part.block_sizes(), _summand(reps[shape], columns.get(shape), picks)
+
+    def json_stream(self) -> dict:
+        """The dict of :meth:`to_json` with ``"summands"`` a generator: a writer
+        that prints one summand at a time holds one summand, not the report's
+        output."""
         # one monomial table for the summands, the total and the oracle
         names: dict[Monomial, str] = {}
 
         def text(f: PolyMap) -> str:
             return "(" + ", ".join(_text(p, names) for p in f.coords) + ")"
 
+        def summands() -> Iterator[dict]:
+            for part, sizes, result in self._stream():
+                yield {
+                    "partition": str(part),
+                    "block_sizes": list(sizes),
+                    "factors": [list(fac) for fac in _factors(sizes, self.mode)],
+                    "map": text(result),
+                }
+
+        total = text(self.total)
         return {
             "mode": self.mode,
             "n": self.order,
-            "f": self.f_text,
-            "g": self.g_text,
-            "summands": [
-                {
-                    "partition": str(s.partition),
-                    "block_sizes": list(s.partition.block_sizes()),
-                    "factors": [list(fac) for fac in s.factors],
-                    "map": text(s.result),
-                }
-                for s in self.summands
-            ],
-            "total": text(self.total),
-            "oracle": text(self.oracle),
+            "f": str(self.f),
+            "g": str(self.g),
+            "summands": summands(),
+            "total": total,
+            # an equal verdict means the oracle is the total, and so is its text
+            "oracle": total if self.equal else text(self.oracle),
             "equal": self.equal,
             "first_difference": self.first_difference,
         }
+
+    def to_json(self) -> dict:
+        payload = self.json_stream()
+        payload["summands"] = list(payload["summands"])
+        return payload
+
+
+class _Summands(Sequence):
+    """A report's summands: ``len`` builds none, and an index or an iteration
+    builds one summand at a time."""
+
+    __slots__ = ("_report",)
+
+    def __init__(self, report: FdbReport) -> None:
+        self._report = report
+
+    def __len__(self) -> int:
+        return len(self._report.plan)
+
+    def __getitem__(self, i: int) -> FdbSummand:
+        part, shape, picks = self._report.plan[i]
+        rep = dict(self._report.reps)[shape]
+        result = _summand(rep, _columns(((shape, rep),)).get(shape), picks)
+        return FdbSummand(part, _factors(part.block_sizes(), self._report.mode), result)
+
+    def __iter__(self) -> Iterator[FdbSummand]:
+        mode = self._report.mode
+        for part, sizes, result in self._report._stream():
+            yield FdbSummand(part, _factors(sizes, mode), result)
 
 
 class _Inner:
@@ -136,9 +199,8 @@ class _Inner:
         return self._by_block[block]
 
 
-def _factors(part: SetPartition, mode: str) -> tuple[Factor, ...]:
-    """The derivatives a summand multiplies, read off its partition's blocks."""
-    sizes = part.block_sizes()
+def _factors(sizes: tuple[int, ...], mode: str) -> tuple[Factor, ...]:
+    """The derivatives a summand multiplies, read off its partition's block sizes."""
     if mode == "forward":
         head: list[Factor] = [("forward", "g", len(sizes))]
     else:
@@ -182,33 +244,97 @@ def _plan(n: int, mode: str) -> Iterator[tuple[SetPartition, tuple[int, ...], tu
         # blocks come ordered by minimum, and a stable sort keeps that order
         # among blocks of one size
         ordered = part.blocks[:fixed] + tuple(sorted(part.blocks[fixed:], key=len, reverse=True))
-        sigma = tuple(label for block in ordered for label in block)
-        yield part, tuple(len(block) for block in ordered), None if sigma == identity else sigma
+        sigma = tuple(chain.from_iterable(ordered))
+        yield part, tuple(map(len, ordered)), None if sigma == identity else sigma
 
 
-def _summands(f: PolyMap, g: PolyMap, dom: ArityProfile, n: int,
-              mode: str) -> tuple[FdbSummand, ...]:
-    """Every partition's summand, with one real substitution per shape the
-    degrees allow, made on the shape's representative.  Every other summand is
-    its shape representative's relabelled by sigma: label t lives in domain
-    block t+1, after the base point's block 1, so the relabelled summand takes
-    its argument block t+1 from domain block sigma(t)+1."""
+def _ruled_out(shape: tuple[int, ...], degrees: tuple[int, int]) -> bool:
+    """Whether a shape has a block longer than deg f or more blocks than deg g,
+    given ``degrees = (deg f, deg g)``: then every summand of it is zero."""
+    return max(shape) > degrees[0] or len(shape) > degrees[1]
+
+
+def _relabellings(n: int, mode: str, dom: ArityProfile,
+                  degrees: tuple[int, int]) -> Iterator[PlanEntry]:
+    """The plan with each sigma as the permutation of the coordinates of
+    ``dom`` that relabels the shape representative's summand into the
+    partition's; None for the representative and wherever the degrees rule
+    the shape out, whose summands are all the shared zero map.  Label t lives
+    in domain block t+1, after the base point's block 1, so a monomial of the
+    partition's summand has in block sigma(t)+1 the exponents that the
+    representative's has in block t+1.  The permutation lists, for each
+    coordinate, the coordinate it reads, for one ``itemgetter``."""
+    blocks = [tuple(dom.block_range(j)) for j in range(1, n + 3)]
+    for part, shape, sigma in _plan(n, mode):
+        picks = None
+        if sigma is not None and not _ruled_out(shape, degrees):
+            read = [0] * (n + 2)  # the base point's block reads itself
+            for t, s in enumerate(sigma, start=1):
+                read[s] = t
+            picks = tuple(chain.from_iterable(map(blocks.__getitem__, read)))
+        yield part, shape, picks
+
+
+def _columns(reps: tuple[tuple[tuple[int, ...], PolyMap], ...]) -> dict[tuple[int, ...], tuple[Columns, ...]]:
+    """Each shape whose representative is not zero, with each coordinate of
+    the representative's summand as columns.  A permutation of the
+    coordinates keeps every monomial's degree, so the columns are relabelled,
+    zipped and sorted in graded order with no Python-level step per term."""
+    return {shape: tuple(([sum(m) for m, _ in p.terms], [m for m, _ in p.terms],
+                          [c for _, c in p.terms]) for p in rep.coords)
+            for shape, rep in reps if not rep.is_zero()}
+
+
+_TERM = itemgetter(1, 2)  # (degree, monomial, coefficient) -> (monomial, coefficient)
+
+
+def _summand(rep: PolyMap, columns: tuple[Columns, ...] | None,
+             picks: tuple[int, ...] | None) -> PolyMap:
+    """A partition's summand: its shape representative's, ``rep``, given also
+    as ``columns`` unless it is zero, relabelled by the partition's
+    permutation ``picks``."""
+    if picks is None or columns is None:
+        return rep
+    relabel, dim = itemgetter(*picks), rep.domain.total
+    # distinct monomials stay distinct: no two sorted triples tie before the coefficient
+    return PolyMap(rep.domain, tuple(
+        Polynomial(dim, tuple(map(_TERM, sorted(zip(degrees, map(relabel, monos), coeffs),
+                                                reverse=True))))
+        for degrees, monos, coeffs in columns))
+
+
+def _representatives(f: PolyMap, g: PolyMap, dom: ArityProfile, plan: tuple[PlanEntry, ...],
+                     mode: str, degrees: tuple[int, int]) -> tuple[tuple[tuple[int, ...], PolyMap], ...]:
+    """Each shape with its representative's summand, by one real substitution,
+    or the shared zero map when the degrees rule the shape out or its summand
+    cancels."""
     build = _forward_summand if mode == "forward" else _reverse_summand
     inner = _Inner(f, dom)
-    plan = list(_plan(n, mode))
-    # more blocks than deg g, or a block longer than deg f: one shared zero map
     zero = zero_map(dom, g.codomain_dim if mode == "forward" else dom.block_dim(1))
-    deg_f, deg_g = f.max_degree(), g.max_degree()
-    reps = {shape: zero if len(shape) > deg_g or max(shape) > deg_f else build(g, inner, part)
-            for part, shape, sigma in plan if sigma is None}
-    out = []
-    for part, shape, sigma in plan:
-        result = reps[shape]
-        if sigma is not None and result is not zero:
-            placement = {1: 1} | {t + 1: s + 1 for t, s in enumerate(sigma, start=1)}
-            result = precompose_blocks(result, dom, placement)
-        out.append(FdbSummand(part, _factors(part, mode), result))
-    return tuple(out)
+    reps: dict[tuple[int, ...], PolyMap] = {}
+    for part, shape, picks in plan:
+        # a shape the degrees rule out leaves every partition's permutation None
+        if picks is None and shape not in reps:
+            rep = zero if _ruled_out(shape, degrees) else build(g, inner, part)
+            reps[shape] = zero if rep.is_zero() else rep
+    return tuple(reps.items())
+
+
+def _total(dom: ArityProfile, codomain_dim: int, plan: tuple[PlanEntry, ...],
+           columns: dict[tuple[int, ...], tuple[Columns, ...]]) -> PolyMap:
+    """The sum of every partition's summand: each partition's representative's
+    monomials, relabelled by its permutation, go straight into one accumulator
+    per output coordinate, so no summand is sorted or built as a map."""
+    live = [(columns[shape], None if picks is None else itemgetter(*picks))
+            for part, shape, picks in plan if shape in columns]
+
+    def terms(i: int) -> Iterator[Iterator[tuple[Monomial, Coefficient]]]:
+        for coords, relabel in live:
+            _, monos, coeffs = coords[i]
+            yield zip(monos if relabel is None else map(relabel, monos), coeffs)
+
+    return PolyMap(dom, tuple(_accumulate(dom.total, chain.from_iterable(terms(i)))
+                              for i in range(codomain_dim)))
 
 
 def _first_difference(lhs: PolyMap, rhs: PolyMap) -> str | None:
@@ -238,15 +364,9 @@ def fdb_report(f: PolyMap, g: PolyMap, n: int, mode: str) -> FdbReport:
     # tower of g when the degrees rule out every shape.
     oracle = (forward_derivative if mode == "forward" else reverse_derivative)(compose(g, f), n + 1)
     _require_single_block(g, f"the total {mode} derivative")
-    summands = _summands(f, g, oracle.domain, n, mode)
-    total = sum_maps(oracle.domain, oracle.codomain_dim, [s.result for s in summands])
-    return FdbReport(
-        mode=mode,
-        order=n,
-        f_text=str(f),
-        g_text=str(g),
-        summands=summands,
-        total=total,
-        oracle=oracle,
-        first_difference=_first_difference(total, oracle),
-    )
+    dom = oracle.domain
+    degrees = (f.max_degree(), g.max_degree())
+    plan = tuple(_relabellings(n, mode, dom, degrees))
+    reps = _representatives(f, g, dom, plan, mode, degrees)
+    total = _total(dom, oracle.codomain_dim, plan, _columns(reps))
+    return FdbReport(mode, n, f, g, plan, reps, total, oracle, _first_difference(total, oracle))

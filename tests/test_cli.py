@@ -13,8 +13,8 @@ from pathlib import Path
 
 import pytest
 
-from revderiv import cli, laws
-from revderiv.faa_di_bruno import FdbReport
+from revderiv import cli, faa_di_bruno, laws
+from revderiv.faa_di_bruno import FdbReport, fdb_report
 from revderiv.laws import LAWS, LawFailure, LawReport
 from revderiv.maps import ArityProfile, zero_map
 from revderiv.syntax import parse_map
@@ -330,13 +330,14 @@ def test_verify_failure_exits_1(capsys, monkeypatch):
 
 
 def test_verify_counts_each_failure_under_the_law_that_ran(capsys, monkeypatch):
-    # a report missing a summand fails under the finer id fdb-{mode}-count,
-    # and its zero total fails fdb-reverse-base, whose id extends fdb-reverse
+    # a report missing a partition's summand fails under the finer id
+    # fdb-{mode}-count, and its zero total fails fdb-reverse-base, whose id
+    # extends fdb-reverse
     real = laws.fdb_report
 
     def short(f, g, n, mode):
         rep = real(f, g, n, mode)
-        return FdbReport(rep.mode, rep.order, rep.f_text, rep.g_text, rep.summands[1:],
+        return FdbReport(rep.mode, rep.order, rep.f, rep.g, rep.plan[1:], rep.reps,
                          zero_map(rep.total.domain, rep.total.codomain_dim), rep.oracle,
                          rep.first_difference)
 
@@ -455,6 +456,51 @@ def test_fdb_outer_map_may_ignore_trailing_inputs(capsys, mode):
         assert code == 0
         payload = json.loads(out)
         assert payload["equal"] is True and len(payload["summands"]) == 2
+
+
+@pytest.mark.parametrize("mode, total", [("forward", 80), ("reverse", 48)])
+def test_fdb_reports_a_total_that_differs_from_the_oracle(capsys, monkeypatch, mode, total):
+    # a tower scaled by 2 scales every summand, so the total is not the
+    # oracle's 12*x1^2*x2*x3; the verdict and exit code come before the output
+    name = f"{mode}_tower"
+    tower = getattr(faa_di_bruno, name)
+    monkeypatch.setattr(faa_di_bruno, name, lambda f, k: tower(f, k).scale(2))
+    argv = ("fdb", "--f", "(x1^2)", "--g", "(x1^2)", "--n", "1", "--mode", mode)
+    difference = f"coordinate 1, monomial x1^2*x2*x3: {total} vs 12"
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and err == ""
+    lines = out.splitlines()
+    assert lines[0] == f"mode {mode}, n=1: 2 summands"
+    assert lines[3:] == [f"total:  ({total}*x1^2*x2*x3)", "oracle: (12*x1^2*x2*x3)",
+                         f"verdict: NOT equal ({difference})"]
+    code, out, err = run_cli(capsys, *argv, "--json")
+    assert code == 1 and err == ""
+    payload = json.loads(out)
+    assert payload["equal"] is False and payload["first_difference"] == difference
+    assert len(payload["summands"]) == 2
+
+
+# the deep pair of CI's partition-sum step
+DEEP_F, DEEP_G = "(x1^3*x2 + x2^2, x1*x2 - x1^4)", "(x1^2*x2^3 + x1, x2^5)"
+
+
+@pytest.mark.parametrize("mode", ["forward", "reverse"])
+def test_fdb_writes_the_report_one_summand_at_a_time(capsys, mode):
+    # the streamed JSON is json.dumps of the report's to_json(), and the text
+    # report prints the same strings, one summand a line
+    f = parse_map(DEEP_F)
+    g = parse_map(DEEP_G, (f.codomain_dim,))
+    for n in range(4):
+        payload = fdb_report(f, g, n, mode).to_json()
+        argv = ("fdb", "--f", DEEP_F, "--g", DEEP_G, "--n", str(n), "--mode", mode)
+        code, out, _ = run_cli(capsys, *argv, "--json")
+        assert code == 0 and out == json.dumps(payload, indent=2) + "\n"
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0 and out.splitlines() == [
+            f"mode {mode}, n={n}: {len(payload['summands'])} summands",
+            *(f"  {s['partition']}: sizes [{','.join(map(str, s['block_sizes']))}], map {s['map']}"
+              for s in payload["summands"]),
+            f"total:  {payload['total']}", f"oracle: {payload['oracle']}", "verdict: equal"]
 
 
 def test_fdb_cap(capsys):
@@ -604,6 +650,24 @@ def test_closed_pipe_exits_with_the_verdict_and_no_traceback():
     assert proc.wait(timeout=60) == 0
     assert first == b"{1}|{2}|{3}|{4}|{5}|{6}|{7}|{8}|{9}|{10}\n"
     assert err == b""
+
+
+def test_only_a_command_that_prints_json_loads_json():
+    # start-up and a text report leave json alone; -S keeps site, which may
+    # import it on its own, out
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = ("import sys\n"
+            "sys.path.insert(0, sys.argv[1])\n"
+            "import revderiv.cli\n"
+            "revderiv.cli.build_parser()\n"
+            "loaded = ['json' in sys.modules]\n"
+            "for flags in ([], ['--json']):\n"
+            "    revderiv.cli.main(['derive', '--map', '(x1^2)', *flags])\n"
+            "    loaded.append('json' in sys.modules)\n"
+            "print(loaded)\n")
+    done = subprocess.run([sys.executable, "-I", "-S", "-c", code, src],
+                          capture_output=True, text=True, timeout=60, check=True)
+    assert done.stdout.splitlines()[-1] == "[False, False, True]"
 
 
 def test_start_up_loads_no_dataclasses_inspect_or_typing():

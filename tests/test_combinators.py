@@ -243,6 +243,22 @@ def test_is_dlinear_examples():
         dagger(cx, 3)
 
 
+@pytest.mark.parametrize("j, linear, flat, square", [
+    (1, "x1*x3", "x3^2", "x1*x2*x4"),
+    (2, "x1*x4", "x1^2", "x2*x3^2"),
+])
+def test_klinear_refuses_a_term_of_another_degree_in_the_block(j, linear, flat, square):
+    # on blocks (x1, x2 | x3, x4): linear has degree 1 in block j, flat
+    # degree 0 and square degree 2
+    def f(text):
+        return parse_map(text, blocks=(2, 2))
+
+    assert is_klinear_in_block(f(f"({linear}, 3*{linear})"), j)
+    assert not is_klinear_in_block(f(f"({linear}, {flat})"), j)
+    assert not is_klinear_in_block(f(f"({square}, {linear})"), j)
+    assert not is_klinear_in_block(f(f"({linear} + {flat} + {square})"), j)
+
+
 def test_dlinear_implies_klinear():
     rng = random.Random(11)
     cfg = CorpusConfig()

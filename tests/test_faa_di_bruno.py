@@ -9,6 +9,7 @@ import pytest
 from revderiv import faa_di_bruno
 from revderiv.combinators import dagger
 from revderiv.corpus import CorpusConfig, random_composable_pair, random_map
+from revderiv.laws import LAWS
 from revderiv.faa_di_bruno import (
     _factors,
     _first_difference,
@@ -239,6 +240,26 @@ def test_first_difference_prints_past_the_int_str_limit():
         sys.set_int_max_str_digits(limit)
 
 
+@pytest.mark.parametrize("mode", ["forward", "reverse"])
+def test_counting_the_summands_and_the_fdb_laws_build_no_summand(mode, monkeypatch):
+    # a report holds one map per shape; _summand builds every other summand
+    built = []
+    summand = faa_di_bruno._summand
+    monkeypatch.setattr(faa_di_bruno, "_summand", lambda *args: built.append(args) or summand(*args))
+    f = parse_map("(x1^3*x2 + x2^2, x1*x2 - x1^4)", blocks=(2,))
+    g = parse_map("(x1^2*x2^3 + x1, x2^5)", blocks=(2,))
+    rep = fdb_report(f, g, 4, mode)
+    assert len(rep.summands) == 52 and rep.equal
+    # the fdb laws read the count, the total and the verdict
+    cfg = CorpusConfig(max_order=2)
+    assert all(law(random.Random(f"0/{law_id}"), cfg) is None
+               for law_id, law in LAWS[f"fdb-{mode}"])
+    assert built == []
+    # reading the summands builds each once, in partition order
+    assert [s.partition for s in rep.summands] == enumerate_partitions(5)
+    assert [args[2] for args in built] == [picks for _, _, picks in rep.plan]
+
+
 # -- every summand against its own direct construction --------------------------
 
 
@@ -262,7 +283,7 @@ def direct_summands(f, g, n, mode):
     else:
         dom, build = ArityProfile((a, g.codomain_dim) + (a,) * n), _reverse_summand
     inner = _Inner(f, dom)
-    return [FdbSummand(part, _factors(part, mode), build(g, inner, part))
+    return [FdbSummand(part, _factors(part.block_sizes(), mode), build(g, inner, part))
             for part in enumerate_partitions(n + 1)]
 
 
@@ -287,23 +308,22 @@ def test_every_summand_matches_its_direct_construction(mode):
     assert summand_mismatches(mode) == 0
 
 
-def same_shape_swap(summands):
-    """A mutant of ``_summands`` that hands each summand's map to the next
-    partition of the same shape: the totals cannot see it."""
+def same_shape_swap(relabellings):
+    """A mutant of ``_relabellings`` that hands each relabelled partition's
+    permutation, and so its summand's map, to the next relabelled partition of
+    the same shape; the representatives keep theirs.  The totals cannot see it."""
 
-    def swapped(f, g, dom, n, mode):
-        out = list(summands(f, g, dom, n, mode))
+    def swapped(*args):
+        out = list(relabellings(*args))
         groups = {}
-        for i, s in enumerate(out):
-            sizes = s.partition.block_sizes()
-            rest = tuple(sorted(sizes[1:]))
-            shape = tuple(sorted(sizes)) if mode == "forward" else (sizes[0], rest)
-            groups.setdefault(shape, []).append(i)
+        for i, (part, shape, picks) in enumerate(out):
+            if picks is not None:
+                groups.setdefault(shape, []).append(i)
         for idx in groups.values():
-            maps = [out[i].result for i in idx]
-            for i, m in zip(idx, maps[1:] + maps[:1]):
-                out[i] = FdbSummand(out[i].partition, out[i].factors, m)
-        return tuple(out)
+            picks = [out[i][2] for i in idx]
+            for i, p in zip(idx, picks[1:] + picks[:1]):
+                out[i] = out[i][:2] + (p,)
+        return iter(out)
 
     return swapped
 
@@ -325,7 +345,7 @@ def inverse_placement(plan):
 
 @MODES
 def test_summand_oracle_catches_a_same_shape_swap(mode, monkeypatch):
-    monkeypatch.setattr(faa_di_bruno, "_summands", same_shape_swap(faa_di_bruno._summands))
+    monkeypatch.setattr(faa_di_bruno, "_relabellings", same_shape_swap(faa_di_bruno._relabellings))
     # the totals cannot see the swap
     for f, g in corpus_pairs():
         assert fdb_report(f, g, 3, mode).equal
@@ -359,10 +379,10 @@ def test_reverse_summands_are_the_forward_summands_transposed():
 
 def test_transpose_bridge_catches_a_same_shape_swap(monkeypatch):
     # the swap in the reverse reports only
-    real = faa_di_bruno._summands
+    real = faa_di_bruno._relabellings
     swapped = same_shape_swap(real)
-    monkeypatch.setattr(faa_di_bruno, "_summands", lambda f, g, dom, n, mode: (
-        swapped if mode == "reverse" else real)(f, g, dom, n, mode))
+    monkeypatch.setattr(faa_di_bruno, "_relabellings", lambda n, mode, *rest: (
+        swapped if mode == "reverse" else real)(n, mode, *rest))
     # the totals cannot see the swap
     for f, g in corpus_pairs():
         for n in range(5):

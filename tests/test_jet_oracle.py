@@ -146,7 +146,7 @@ def test_summands_and_totals_match_the_jets(mode):
 
 @MODES
 def test_jets_catch_a_same_shape_swap(mode, monkeypatch):
-    monkeypatch.setattr(faa_di_bruno, "_summands", same_shape_swap(faa_di_bruno._summands))
+    monkeypatch.setattr(faa_di_bruno, "_relabellings", same_shape_swap(faa_di_bruno._relabellings))
     assert jet_mismatches(mode)[1] > 0
 
 

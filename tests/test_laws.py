@@ -7,7 +7,7 @@ import pytest
 
 from revderiv import laws
 from revderiv.corpus import CorpusConfig
-from revderiv.faa_di_bruno import FdbReport, FdbSummand
+from revderiv.faa_di_bruno import FdbReport
 from revderiv.laws import LAWS, SUITE_NAMES, LawFailure, run_suite
 from revderiv.maps import identity
 from revderiv.partitions import enumerate_partitions
@@ -98,9 +98,10 @@ def test_dagger_partial_failures_carry_its_own_id(monkeypatch):
 
 @pytest.mark.parametrize("mode", ["forward", "reverse"])
 def test_fdb_failures_carry_the_mode_in_their_id(monkeypatch, mode):
-    def fake_report(summands, total):
-        oracle = identity(1)
-        return lambda f, g, n, m: FdbReport(m, n, str(f), str(g), summands, total, oracle,
+    def fake_report(plan, total):
+        # a report of the partitions in plan, each the one shape's representative
+        oracle, reps = identity(1), (((1,), identity(1)),)
+        return lambda f, g, n, m: FdbReport(m, n, f, g, plan, reps, total, oracle,
                                             None if total == oracle else "differs")
 
     monkeypatch.setitem(LAWS, f"fdb-{mode}", [(f"fdb-{mode}", getattr(laws, f"law_fdb_{mode}"))])
@@ -110,8 +111,8 @@ def test_fdb_failures_carry_the_mode_in_their_id(monkeypatch, mode):
     assert [f.law for f in failures] == [f"fdb-{mode}-count"] * 2
     assert (failures[0].lhs, failures[0].rhs) == ("0", "1")
     # the right count with an unequal total
-    summand = FdbSummand(enumerate_partitions(1)[0], (), identity(1))
-    monkeypatch.setattr(laws, "fdb_report", fake_report((summand,), identity(1).scale(2)))
+    entry = (enumerate_partitions(1)[0], (1,), None)
+    monkeypatch.setattr(laws, "fdb_report", fake_report((entry,), identity(1).scale(2)))
     failures = run_suite(f"fdb-{mode}", seed=1, cases=2).failures
     assert [f.law for f in failures] == [f"fdb-{mode}"] * 2
     assert (failures[0].lhs, failures[0].rhs) == ("(2*x1)", "(x1)")
