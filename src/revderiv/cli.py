@@ -37,6 +37,8 @@ DEFAULT_ORDER_CAP = 2000
 DEFAULT_PARTITIONS_CAP = 10  # Bell(10) = 115,975 partitions
 # a drawn profile of MAX_BLOCKS blocks stays within the widest map derive accepts
 MAX_DIM_CAP = MAX_COORDINATES // MAX_BLOCKS
+# past it, one case of an fdb suite, whose composites have degree up to its square, took over 30 s
+MAX_DEG_CAP = 8
 
 
 class _Refused(Exception):
@@ -83,14 +85,13 @@ def _read_expr(text: str) -> str:
     return text
 
 
-def _parse_blocks(text: str | None) -> tuple[int, ...] | None:
-    if text is None:
-        return None
+def _parse_blocks(text: str) -> tuple[int, ...]:
+    # argparse types only a given value: the default None is not passed here
     try:
         blocks = tuple(int(p) for p in text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad block list {text!r}")
-    if not blocks or any(b < 0 for b in blocks):
+    if any(b < 0 for b in blocks):
         raise argparse.ArgumentTypeError(f"bad block list {text!r}")
     return blocks
 
@@ -126,13 +127,17 @@ def cmd_derive(args: argparse.Namespace) -> Outcome:
     return 0, [f"{result}\n"]
 
 
+def _count(n: int, noun: str) -> str:
+    return f"{n} {noun}" if n == 1 else f"{n} {noun}s"
+
+
 def _report_lines(report: LawReport) -> Iterator[str]:
-    status = "ok" if report.ok else f"{len(report.failures)} failures"
-    yield (f"suite {report.suite}: seed {report.seed}, {report.cases} cases per law, "
-           f"{len(report.laws)} laws, {status} ({report.elapsed_ms} ms)\n")
+    status = "ok" if report.ok else _count(len(report.failures), "failure")
+    cases = _count(report.cases, "case")
+    yield (f"suite {report.suite}: seed {report.seed}, {cases} per law, "
+           f"{_count(len(report.laws), 'law')}, {status} ({report.elapsed_ms} ms)\n")
     for law, count in zip(report.laws, report.law_failures):
-        verdict = "ok" if count == 0 else f"{count} failures"
-        yield f"  {law}: {report.cases} cases, {verdict}\n"
+        yield f"  {law}: {cases}, {'ok' if count == 0 else _count(count, 'failure')}\n"
     for failure in report.failures:
         yield f"  FAIL {failure.law}\n"
         for m in failure.maps:
@@ -148,6 +153,9 @@ def cmd_verify(args: argparse.Namespace) -> Outcome:
     _check_cap("--max-dim", args.max_dim, MAX_DIM_CAP,
                f"a drawn map has up to {MAX_BLOCKS} blocks, and derive takes "
                f"{MAX_COORDINATES} coordinates")
+    _check_cap("--max-deg", args.max_deg, MAX_DEG_CAP,
+               f"the laws differentiate composites of two drawn maps, of degree up to "
+               f"{MAX_DEG_CAP ** 2}")
     names = list(SUITE_NAMES) if args.suite == "all" else [args.suite]
     if {"fdb-forward", "fdb-reverse"} & set(names):
         # the fdb laws check Bell(max_order + 1) summands per case
@@ -267,7 +275,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--cases", type=int, default=100)
     p_verify.add_argument("--max-dim", type=int, default=3,
                           help=f"largest block dimension of a drawn map, at most {MAX_DIM_CAP}")
-    p_verify.add_argument("--max-deg", type=int, default=3)
+    p_verify.add_argument("--max-deg", type=int, default=3,
+                          help=f"largest total degree of a drawn polynomial, at most {MAX_DEG_CAP}")
     p_verify.add_argument("--max-order", type=int, default=3,
                           help=f"highest derivative order offset (at most {DEFAULT_FDB_CAP} "
                                "when an fdb suite runs)")

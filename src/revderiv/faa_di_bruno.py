@@ -215,9 +215,8 @@ def _forward_summand(g: PolyMap, inner: _Inner, part: SetPartition) -> PolyMap:
 
 
 def _reverse_summand(g: PolyMap, inner: _Inner, part: SetPartition) -> PolyMap:
+    # blocks are ordered by their minimum, so the first holds 1
     first, rest = part.blocks[0], part.blocks[1:]
-    if first[0] != 1:
-        raise AssertionError("canonical partitions keep 1 in the first block")
     dom = inner.dom
     # inner forward factors of f for the blocks not containing 1;
     # vector argument a_s lives in domain block s+1 (block 2 is the covector)

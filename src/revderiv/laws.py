@@ -1,20 +1,25 @@
 """Randomized symbolic verification of the derivative-combinator laws.
 
-Every law is an exact equality of polynomial maps, so a "case" draws random
-maps from the corpus, builds both sides with the public combinators, and
-compares canonical forms; there are no tolerances anywhere.  Suites group
-the laws the way the CLI exposes them.  A fixed seed reproduces every draw.
+Every law is an exact equality of polynomial maps, so there are no tolerances
+anywhere.  A law is an entry ``(id, draw, check)`` of ``LAWS``: the draw,
+``draw(rng, cfg)``, takes random maps from the corpus and returns them, and
+the check, ``check(id, cfg, *inputs)``, builds both sides with the public
+combinators and compares canonical forms.  So a check runs as well on inputs
+that no draw produced.  A draw that several laws share is written once: a
+one-block map, a context map with its block, a composable pair, and a map
+D-linear in a random block.  Suites group the laws the way the CLI exposes
+them.  A fixed seed reproduces every draw.
 
-A reverse-derivative axiom that several laws check has one body, stated for
+A reverse-derivative axiom that several laws check has one check, stated for
 block j of any domain profile: the ``rd-axioms`` suite checks it at j = 1 of a
-one-block map, and the ``context`` suite checks the same body at block 2 of
+one-block map, and the ``context`` suite runs the same check at block 2 of
 (C1, A, C2).  Linearity, covector linearity, tuples, the chain rule and mixed
 partials are shared this way, and the transpose of the forward derivative
 serves rd6 and dagger-partial.
 
-Every law has one exit and one failure constructor: ``_flag`` alone builds a
-``LawFailure``, and a law with several checks returns ``_first`` over a lazy
-generator of them, so nothing after the first failure runs or draws from the RNG.
+Every check has one exit and one failure constructor: ``_flag`` alone builds a
+``LawFailure``, and a check with several comparisons returns ``_first`` over a
+lazy generator of them, so nothing after the first failure runs.
 """
 
 from __future__ import annotations
@@ -130,9 +135,34 @@ def _first(checks: Iterable[LawFailure | None]) -> LawFailure | None:
     return next(filter(None, checks), None)
 
 
-# -- the seven axioms of the reverse combinator, at block j -------------------
+# -- draws shared by several laws ----------------------------------------------
 #
-# On a one-block map, ``partial_reverse(f, 1)`` is ``reverse_derivative(f)``.
+# A check that takes a block j reads block 1 when its draw names none: on a
+# one-block map, ``partial_reverse(f, 1)`` is ``reverse_derivative(f)``.
+
+
+def _one_block(rng: random.Random, cfg: CorpusConfig) -> tuple[PolyMap]:
+    return (random_single_block_map(rng, cfg),)
+
+
+def _context(rng: random.Random, cfg: CorpusConfig) -> tuple[PolyMap, int]:
+    """A map on (C1, A, C2), with A's block index."""
+    return random_context_map(rng, cfg), 2
+
+
+def _dlinear(rng: random.Random, cfg: CorpusConfig) -> tuple[PolyMap, int]:
+    """A map on a random profile that is D-linear in a random block j, with j."""
+    prof = random_profile(rng, cfg)
+    j = rng.randint(1, prof.block_count)
+    return random_dlinear_map(rng, prof, j, rng.randint(1, cfg.max_dim), cfg), j
+
+
+def _on_profile(rng: random.Random, cfg: CorpusConfig) -> tuple[PolyMap]:
+    prof = random_profile(rng, cfg)
+    return (random_map(rng, prof, rng.randint(1, cfg.max_dim), cfg.max_degree),)
+
+
+# -- the seven axioms of the reverse combinator, at block j -------------------
 
 
 def _keep(nb: int) -> dict[int, int]:
@@ -140,22 +170,47 @@ def _keep(nb: int) -> dict[int, int]:
     return {t: t for t in range(1, nb + 1)}
 
 
-def _linearity(law: str, f: PolyMap, g: PolyMap, s: Coefficient, t: Coefficient,
-               j: int) -> LawFailure | None:
+def _linearity(law: str, cfg: CorpusConfig, f: PolyMap, g: PolyMap, s: Coefficient,
+               t: Coefficient, j: int = 1) -> LawFailure | None:
     """Linearity of the combinator: deriving a linear combination."""
     lhs = partial_reverse(f.scale(s) + g.scale(t), j)
     rhs = partial_reverse(f, j).scale(s) + partial_reverse(g, j).scale(t)
     return _cmp(law, [f, g], lhs, rhs)
 
 
-def _covector_linear(law: str, f: PolyMap, j: int) -> LawFailure | None:
+def _draw_rd1(rng: random.Random, cfg: CorpusConfig) -> tuple:
+    dim, cod = rng.randint(1, cfg.max_dim), rng.randint(1, cfg.max_dim)
+    f, g = (random_single_block_map(rng, cfg, dim, cod) for _ in range(2))
+    return f, g, random_scalar(rng), random_scalar(rng)
+
+
+def _covector_linear(law: str, cfg: CorpusConfig, f: PolyMap, j: int = 1) -> LawFailure | None:
     """The derivative is linear in its covector block."""
     nb = f.domain.block_count
     r = partial_reverse(f, j)
     return _flag(law, [f], is_klinear_in_block(r, nb + 1), r, f"k-linear in block {nb + 1}")
 
 
-def _tuple_rule(law: str, fs: Sequence[PolyMap], j: int) -> LawFailure | None:
+def _rd3(law: str, cfg: CorpusConfig, n: int, prof: ArityProfile, j: int) -> LawFailure | None:
+    """Identities differentiate to the covector; projections to injections."""
+    def checks():
+        rid = reverse_derivative(identity(n))
+        yield _cmp(law, [identity(n)], rid, projection(ArityProfile((n, n)), 2))
+        pj = projection(prof, j)
+        r = reverse_derivative(flatten(pj))
+        src = ArityProfile((prof.total, prof.block_dim(j)))
+        yield _cmp(law, [pj], r, embed_blocks(src, prof, {j: 2}))
+    return _first(checks())
+
+
+def _draw_rd3(rng: random.Random, cfg: CorpusConfig) -> tuple[int, ArityProfile, int]:
+    n = rng.randint(1, cfg.max_dim)
+    prof = random_profile(rng, cfg)
+    return n, prof, rng.randint(1, prof.block_count)
+
+
+def _tuple_rule(law: str, cfg: CorpusConfig, fs: Sequence[PolyMap],
+                j: int = 1) -> LawFailure | None:
     """Deriving a tuple sums the component derivatives at their covector slices."""
     blocks = fs[0].domain.blocks
     nb = len(blocks)
@@ -168,6 +223,12 @@ def _tuple_rule(law: str, fs: Sequence[PolyMap], j: int) -> LawFailure | None:
     return _cmp(law, fs, lhs, reblock(rhs_fine, lhs.domain))
 
 
+def _draw_rd4(rng: random.Random, cfg: CorpusConfig) -> tuple[list[PolyMap]]:
+    dim = rng.randint(1, cfg.max_dim)
+    k = rng.randint(1, 3)
+    return ([random_single_block_map(rng, cfg, dim, rng.randint(1, 2)) for _ in range(k)],)
+
+
 def _chain_rhs(f: PolyMap, g: PolyMap, j: int) -> PolyMap:
     """The chain rule right-hand side in block j: pull the covector back
     through g at the pushed-forward base point, then through f."""
@@ -177,20 +238,21 @@ def _chain_rhs(f: PolyMap, g: PolyMap, j: int) -> PolyMap:
     return compose(partial_reverse(f, j), _in_context(inner, nb + 1))
 
 
-def _chain(law: str, f: PolyMap, g: PolyMap, j: int) -> LawFailure | None:
+def _chain(law: str, cfg: CorpusConfig, f: PolyMap, g: PolyMap, j: int = 1) -> LawFailure | None:
     """The chain rule, with the blocks other than j threaded through both maps."""
     lhs = partial_reverse(compose(g, _in_context(f, j)), j)
     return _cmp(law, [f, g], lhs, _chain_rhs(f, g, j))
 
 
-def _transpose_of_forward(law: str, f: PolyMap, j: int) -> LawFailure | None:
+def _transpose_of_forward(law: str, cfg: CorpusConfig, f: PolyMap,
+                          j: int = 1) -> LawFailure | None:
     """Transposing the forward derivative in block j in its vector block
     gives the reverse derivative in block j."""
     lhs = dagger(partial_forward(f, j), f.domain.block_count + 1)
     return _cmp(law, [f], lhs, partial_reverse(f, j))
 
 
-def _mixed_partials(law: str, f: PolyMap, j: int) -> LawFailure | None:
+def _mixed_partials(law: str, cfg: CorpusConfig, f: PolyMap, j: int = 1) -> LawFailure | None:
     """Mixed-partial symmetry, built entirely from reverse derivatives."""
     blocks = f.domain.blocks
     nb, a = len(blocks), blocks[j - 1]
@@ -205,7 +267,134 @@ def _mixed_partials(law: str, f: PolyMap, j: int) -> LawFailure | None:
     return _cmp(law, [f], l4, swapped)
 
 
-def _stable_rule(law: str, f: PolyMap, j: int) -> LawFailure | None:
+def _cd5_chain(law: str, cfg: CorpusConfig, f: PolyMap, g: PolyMap) -> LawFailure | None:
+    """The induced forward derivative satisfies the forward chain rule."""
+    n = f.domain.total
+    lhs = forward_derivative(compose(g, f))
+    dom = ArityProfile((n, n))
+    base = precompose_blocks(f, dom, {1: 1})
+    rhs = compose(forward_derivative(g), pair([base, forward_derivative(f)]))
+    return _cmp(law, [f, g], lhs, rhs)
+
+
+def _schwarz(law: str, cfg: CorpusConfig, f: PolyMap, i: int, j: int) -> LawFailure | None:
+    """Order of the underlying coordinate partials never matters."""
+    p = f.coords[0]
+    return _cmp(law, [f], p.partial(i).partial(j), p.partial(j).partial(i))
+
+
+def _draw_schwarz(rng: random.Random, cfg: CorpusConfig) -> tuple[PolyMap, int, int]:
+    dim = rng.randint(1, cfg.max_dim)
+    f = random_single_block_map(rng, cfg, dim, 1)
+    return f, rng.randrange(dim), rng.randrange(dim)
+
+
+def _partial_pairing(law: str, cfg: CorpusConfig, f: PolyMap) -> LawFailure | None:
+    """The tuple of the per-block partial reverse derivatives is the total."""
+    parts = [partial_reverse(f, j) for j in range(1, f.domain.block_count + 1)]
+    total = reblock(reverse_derivative(flatten(f)), f.domain.concat(f.codomain_dim))
+    return _cmp(law, [f], pair(parts), total)
+
+
+# -- the same axioms at block 2 of (C1, A, C2) --------------------------------
+
+
+def _draw_ctx_rd1(rng: random.Random, cfg: CorpusConfig) -> tuple:
+    cod = rng.randint(1, cfg.max_dim)
+    f = random_context_map(rng, cfg, cod)
+    g = random_map(rng, f.domain, cod, cfg.max_degree)
+    return f, g, random_scalar(rng), random_scalar(rng), 2
+
+
+def _ctx_rd3(law: str, cfg: CorpusConfig, prof: ArityProfile) -> LawFailure | None:
+    nb = prof.block_count
+
+    def checks():
+        for j in range(1, nb + 1):
+            pj = projection(prof, j)
+            dom = prof.concat(prof.block_dim(j))
+            for i in range(1, nb + 1):
+                expected = projection(dom, nb + 1) if i == j else zero_map(dom, prof.block_dim(i))
+                yield _cmp(law, [pj], partial_reverse(pj, i), expected)
+    return _first(checks())
+
+
+def _draw_ctx_rd4(rng: random.Random, cfg: CorpusConfig) -> tuple[list[PolyMap], int]:
+    f0 = random_context_map(rng, cfg, rng.randint(1, 2))
+    k = rng.randint(1, 3)
+    return [f0] + [random_map(rng, f0.domain, rng.randint(1, 2), cfg.max_degree)
+                   for _ in range(k - 1)], 2
+
+
+def _draw_ctx_rd5(rng: random.Random, cfg: CorpusConfig) -> tuple[PolyMap, PolyMap, int]:
+    f = random_context_map(rng, cfg)
+    c1, _, c2 = f.domain.blocks
+    e = rng.randint(1, cfg.max_dim)
+    return f, random_map(rng, ArityProfile((c1, f.codomain_dim, c2)), e, cfg.max_degree), 2
+
+
+def _ctx_rd6(law: str, cfg: CorpusConfig, f: PolyMap, j: int) -> LawFailure | None:
+    """Transposing the in-context derivative twice returns it."""
+    h = partial_reverse(f, j)
+    covector = f.domain.block_count + 1
+    return _cmp(law, [f], dagger(dagger(h, covector), covector), h)
+
+
+def _ctx_tuple(law: str, cfg: CorpusConfig, f: PolyMap, j: int) -> LawFailure | None:
+    """Deriving (context, f, context) in block j picks out f's covector slice."""
+    blocks = f.domain.blocks
+    nb = len(blocks)
+    lhs = partial_reverse(_in_context(f, j), j)
+    fine = ArityProfile(blocks + blocks[:j - 1] + (f.codomain_dim,) + blocks[j:])
+    rhs = precompose_blocks(partial_reverse(f, j), fine, _keep(nb) | {nb + 1: nb + j})
+    return _cmp(law, [f], lhs, reblock(rhs, lhs.domain))
+
+
+# -- transpose laws -----------------------------------------------------------
+
+
+def _dagger_contravariance(law: str, cfg: CorpusConfig, f: PolyMap, g: PolyMap,
+                           j: int) -> LawFailure | None:
+    lhs = dagger(compose(g, _in_context(f, j)), j)
+    rhs = compose(dagger(f, j), _in_context(dagger(g, j), j))
+    return _cmp(law, [f, g], lhs, rhs)
+
+
+def _draw_dagger_contravariance(rng: random.Random, cfg: CorpusConfig) -> tuple:
+    c1, c2, a, b, e = (rng.randint(1, cfg.max_dim) for _ in range(5))
+    f = random_dlinear_map(rng, ArityProfile((c1, a, c2)), 2, b, cfg)
+    g = random_dlinear_map(rng, ArityProfile((c1, b, c2)), 2, e, cfg)
+    return f, g, 2
+
+
+def _dagger_base_independence(law: str, cfg: CorpusConfig, f: PolyMap) -> LawFailure | None:
+    """Re-deriving the reverse derivative in its covector block gives the
+    forward derivative regardless of the covector base point."""
+    n, m = f.domain.total, f.codomain_dim
+    lhs = partial_reverse(reverse_derivative(f), 2)              # (n, m, n) -> m
+    rhs = precompose_blocks(forward_derivative(f), ArityProfile((n, m, n)), {1: 1, 2: 3})
+    return _cmp(law, [f], lhs, rhs)
+
+
+def _draw_dagger_partial(rng: random.Random, cfg: CorpusConfig) -> tuple[PolyMap, int]:
+    (f,) = _on_profile(rng, cfg)
+    return f, rng.randint(1, f.domain.block_count)
+
+
+def _dagger_involution(law: str, cfg: CorpusConfig, f: PolyMap, j: int) -> LawFailure | None:
+    return _cmp(law, [f], dagger(dagger(f, j), j), f)
+
+
+def _dlinear_implies_klinear(law: str, cfg: CorpusConfig, f: PolyMap,
+                             j: int) -> LawFailure | None:
+    ok = is_dlinear(f, j) and is_klinear_in_block(f, j)
+    return _flag(law, [f], ok, f, f"k-linear in block {j}")
+
+
+# -- higher-order laws --------------------------------------------------------
+
+
+def _stable_rule(law: str, cfg: CorpusConfig, f: PolyMap, j: int = 1) -> LawFailure | None:
     """Deriving f in block j forward and then in reverse agrees, up to swapping
     the last two argument blocks, with deriving it in block j twice in reverse."""
     blocks = f.domain.blocks
@@ -217,222 +406,13 @@ def _stable_rule(law: str, f: PolyMap, j: int) -> LawFailure | None:
     return _cmp(law, [f], lhs, rhs)
 
 
-def law_rd1(rng: random.Random, cfg: CorpusConfig) -> LawFailure | None:
-    dim = rng.randint(1, cfg.max_dim)
-    cod = rng.randint(1, cfg.max_dim)
-    f = random_single_block_map(rng, cfg, dim, cod)
-    g = random_single_block_map(rng, cfg, dim, cod)
-    s, t = random_scalar(rng), random_scalar(rng)
-    return _linearity("rd1", f, g, s, t, 1)
-
-
-def law_rd2(rng: random.Random, cfg: CorpusConfig) -> LawFailure | None:
-    return _covector_linear("rd2", random_single_block_map(rng, cfg), 1)
-
-
-def law_rd3(rng: random.Random, cfg: CorpusConfig) -> LawFailure | None:
-    """Identities differentiate to the covector; projections to injections."""
-    def checks():
-        n = rng.randint(1, cfg.max_dim)
-        rid = reverse_derivative(identity(n))
-        yield _cmp("rd3", [identity(n)], rid, projection(ArityProfile((n, n)), 2))
-        prof = random_profile(rng, cfg)
-        j = rng.randint(1, prof.block_count)
-        pj = projection(prof, j)
-        r = reverse_derivative(flatten(pj))
-        src = ArityProfile((prof.total, prof.block_dim(j)))
-        yield _cmp("rd3", [pj], r, embed_blocks(src, prof, {j: 2}))
-    return _first(checks())
-
-
-def law_rd4(rng: random.Random, cfg: CorpusConfig) -> LawFailure | None:
-    dim = rng.randint(1, cfg.max_dim)
-    k = rng.randint(1, 3)
-    fs = [random_single_block_map(rng, cfg, dim, rng.randint(1, 2)) for _ in range(k)]
-    return _tuple_rule("rd4", fs, 1)
-
-
-def law_rd5(rng: random.Random, cfg: CorpusConfig) -> LawFailure | None:
-    f, g = random_composable_pair(rng, cfg)
-    return _chain("rd5", f, g, 1)
-
-
-def law_rd6(rng: random.Random, cfg: CorpusConfig) -> LawFailure | None:
-    return _transpose_of_forward("rd6", random_single_block_map(rng, cfg), 1)
-
-
-def law_rd7(rng: random.Random, cfg: CorpusConfig) -> LawFailure | None:
-    return _mixed_partials("rd7", random_single_block_map(rng, cfg), 1)
-
-
-def law_cd5_chain(rng: random.Random, cfg: CorpusConfig) -> LawFailure | None:
-    """The induced forward derivative satisfies the forward chain rule."""
-    f, g = random_composable_pair(rng, cfg)
-    n = f.domain.total
-    lhs = forward_derivative(compose(g, f))
-    dom = ArityProfile((n, n))
-    base = precompose_blocks(f, dom, {1: 1})
-    rhs = compose(forward_derivative(g), pair([base, forward_derivative(f)]))
-    return _cmp("cd5-chain", [f, g], lhs, rhs)
-
-
-def law_schwarz(rng: random.Random, cfg: CorpusConfig) -> LawFailure | None:
-    """Order of the underlying coordinate partials never matters."""
-    dim = rng.randint(1, cfg.max_dim)
-    f = random_single_block_map(rng, cfg, dim, 1)
-    p = f.coords[0]
-    i, j = rng.randrange(dim), rng.randrange(dim)
-    return _cmp("schwarz", [f], p.partial(i).partial(j), p.partial(j).partial(i))
-
-
-def law_partial_pairing(rng: random.Random, cfg: CorpusConfig) -> LawFailure | None:
-    """The tuple of the per-block partial reverse derivatives is the total."""
-    prof = random_profile(rng, cfg)
-    f = random_map(rng, prof, rng.randint(1, cfg.max_dim), cfg.max_degree)
-    parts = [partial_reverse(f, j) for j in range(1, prof.block_count + 1)]
-    total = reblock(reverse_derivative(flatten(f)), prof.concat(f.codomain_dim))
-    return _cmp("partial-pairing", [f], pair(parts), total)
-
-
-# -- the same axioms at block 2 of (C1, A, C2) --------------------------------
-
-
-def law_ctx_rd1(rng: random.Random, cfg: CorpusConfig) -> LawFailure | None:
-    cod = rng.randint(1, cfg.max_dim)
-    f = random_context_map(rng, cfg, cod)
-    g = random_map(rng, f.domain, cod, cfg.max_degree)
-    s, t = random_scalar(rng), random_scalar(rng)
-    return _linearity("ctx-rd1", f, g, s, t, 2)
-
-
-def law_ctx_rd2(rng: random.Random, cfg: CorpusConfig) -> LawFailure | None:
-    return _covector_linear("ctx-rd2", random_context_map(rng, cfg), 2)
-
-
-def law_ctx_rd3(rng: random.Random, cfg: CorpusConfig) -> LawFailure | None:
-    prof = random_profile(rng, cfg)
-    nb = prof.block_count
-
-    def checks():
-        for j in range(1, nb + 1):
-            pj = projection(prof, j)
-            dom = prof.concat(prof.block_dim(j))
-            for i in range(1, nb + 1):
-                expected = projection(dom, nb + 1) if i == j else zero_map(dom, prof.block_dim(i))
-                yield _cmp("ctx-rd3", [pj], partial_reverse(pj, i), expected)
-    return _first(checks())
-
-
-def law_ctx_rd4(rng: random.Random, cfg: CorpusConfig) -> LawFailure | None:
-    f0 = random_context_map(rng, cfg, rng.randint(1, 2))
-    k = rng.randint(1, 3)
-    fs = [f0] + [
-        random_map(rng, f0.domain, rng.randint(1, 2), cfg.max_degree)
-        for _ in range(k - 1)
-    ]
-    return _tuple_rule("ctx-rd4", fs, 2)
-
-
-def law_ctx_rd5(rng: random.Random, cfg: CorpusConfig) -> LawFailure | None:
-    f = random_context_map(rng, cfg)
-    c1, _, c2 = f.domain.blocks
-    e = rng.randint(1, cfg.max_dim)
-    g = random_map(rng, ArityProfile((c1, f.codomain_dim, c2)), e, cfg.max_degree)
-    return _chain("ctx-rd5", f, g, 2)
-
-
-def law_ctx_rd6(rng: random.Random, cfg: CorpusConfig) -> LawFailure | None:
-    """Transposing the in-context derivative twice returns it."""
-    f = random_context_map(rng, cfg)
-    h = partial_reverse(f, 2)
-    back = dagger(dagger(h, 4), 4)
-    return _cmp("ctx-rd6", [f], back, h)
-
-
-def law_ctx_rd7(rng: random.Random, cfg: CorpusConfig) -> LawFailure | None:
-    return _mixed_partials("ctx-rd7", random_context_map(rng, cfg), 2)
-
-
-def law_ctx_tuple(rng: random.Random, cfg: CorpusConfig) -> LawFailure | None:
-    """Deriving (context, f, context) picks out f's covector slice."""
-    f = random_context_map(rng, cfg)
-    c1, a, c2 = f.domain.blocks
-    m = f.codomain_dim
-    lhs = partial_reverse(_in_context(f, 2), 2)
-    fine = ArityProfile((c1, a, c2, c1, m, c2))
-    rhs = reblock(
-        precompose_blocks(partial_reverse(f, 2), fine, {1: 1, 2: 2, 3: 3, 4: 5}),
-        lhs.domain,
-    )
-    return _cmp("ctx-tuple", [f], lhs, rhs)
-
-
-# -- transpose laws -----------------------------------------------------------
-
-
-def law_dagger_contravariance(rng: random.Random, cfg: CorpusConfig) -> LawFailure | None:
-    c1 = rng.randint(1, cfg.max_dim)
-    c2 = rng.randint(1, cfg.max_dim)
-    a = rng.randint(1, cfg.max_dim)
-    b = rng.randint(1, cfg.max_dim)
-    e = rng.randint(1, cfg.max_dim)
-    f = random_dlinear_map(rng, ArityProfile((c1, a, c2)), 2, b, cfg)
-    g = random_dlinear_map(rng, ArityProfile((c1, b, c2)), 2, e, cfg)
-    lhs = dagger(compose(g, _in_context(f, 2)), 2)
-    rhs = compose(dagger(f, 2), _in_context(dagger(g, 2), 2))
-    return _cmp("dagger-contravariance", [f, g], lhs, rhs)
-
-
-def law_dagger_base_independence(rng: random.Random, cfg: CorpusConfig) -> LawFailure | None:
-    """Re-deriving the reverse derivative in its covector block gives the
-    forward derivative regardless of the covector base point."""
-    f = random_single_block_map(rng, cfg)
-    n, m = f.domain.total, f.codomain_dim
-    lhs = partial_reverse(reverse_derivative(f), 2)              # (n, m, n) -> m
-    rhs = precompose_blocks(forward_derivative(f), ArityProfile((n, m, n)), {1: 1, 2: 3})
-    return _cmp("dagger-base-independence", [f], lhs, rhs)
-
-
-def law_dagger_partial(rng: random.Random, cfg: CorpusConfig) -> LawFailure | None:
-    prof = random_profile(rng, cfg)
-    f = random_map(rng, prof, rng.randint(1, cfg.max_dim), cfg.max_degree)
-    return _transpose_of_forward("dagger-partial", f, rng.randint(1, prof.block_count))
-
-
-def law_dagger_involution(rng: random.Random, cfg: CorpusConfig) -> LawFailure | None:
-    prof = random_profile(rng, cfg)
-    j = rng.randint(1, prof.block_count)
-    f = random_dlinear_map(rng, prof, j, rng.randint(1, cfg.max_dim), cfg)
-    return _cmp("dagger-involution", [f], dagger(dagger(f, j), j), f)
-
-
-def law_dlinear_implies_klinear(rng: random.Random, cfg: CorpusConfig) -> LawFailure | None:
-    prof = random_profile(rng, cfg)
-    j = rng.randint(1, prof.block_count)
-    f = random_dlinear_map(rng, prof, j, rng.randint(1, cfg.max_dim), cfg)
-    ok = is_dlinear(f, j) and is_klinear_in_block(f, j)
-    return _flag("dlinear-implies-klinear", [f], ok, f, f"k-linear in block {j}")
-
-
-# -- higher-order laws --------------------------------------------------------
-
-
-def law_stable(rng: random.Random, cfg: CorpusConfig) -> LawFailure | None:
-    return _stable_rule("stable", random_single_block_map(rng, cfg), 1)
-
-
-def law_stable_context(rng: random.Random, cfg: CorpusConfig) -> LawFailure | None:
-    return _stable_rule("stable-context", random_context_map(rng, cfg), 2)
-
-
-def law_second_reverse(rng: random.Random, cfg: CorpusConfig) -> LawFailure | None:
+def _second_reverse(law: str, cfg: CorpusConfig, f: PolyMap) -> LawFailure | None:
     """The order-K reverse tower, for every K from 1 to max_order + 1, is the
     K-th derivative contracted with the covector y and the vectors v2, ...,
     vK: coordinate i on (n, m, n, ..., n) is the sum over k, j2, ..., jK of
     d^K f_k / dx_i dx_j2 ... dx_jK * y_k * v2_j2 * ... * vK_jK.  It is built
     from coordinate partials and one-term products alone, one v block at a
     time, dropping a branch once its partial is zero."""
-    f = random_single_block_map(rng, cfg)
     n, m = f.domain.total, f.codomain_dim
 
     def contraction(order: int) -> PolyMap:
@@ -445,14 +425,13 @@ def law_second_reverse(rng: random.Random, cfg: CorpusConfig) -> LawFailure | No
         return PolyMap(ArityProfile((n, m) + (n,) * (order - 1)), tuple(
             Polynomial.sum(dim, (p.partial(i) * w for p, w in branches)) for i in range(n)))
 
-    return _first(_cmp("second-reverse", [f], reverse_derivative(f, order), contraction(order))
+    return _first(_cmp(law, [f], reverse_derivative(f, order), contraction(order))
                   for order in range(1, cfg.max_order + 2))
 
 
-def law_tower_bridge(rng: random.Random, cfg: CorpusConfig) -> LawFailure | None:
+def _tower_bridge(law: str, cfg: CorpusConfig, f: PolyMap) -> LawFailure | None:
     """Reverse-deriving the order-n forward tower in its base argument gives
     the order-(n+1) reverse tower once the covector is moved into place."""
-    f = random_single_block_map(rng, cfg)
     a, m = f.domain.total, f.codomain_dim
 
     def checks():
@@ -462,20 +441,17 @@ def law_tower_bridge(rng: random.Random, cfg: CorpusConfig) -> LawFailure | None
             placement = {1: 1, n + 2: 2}
             placement.update({t: t + 1 for t in range(2, n + 2)})
             lhs = precompose_blocks(raw, src, placement)
-            yield _cmp("tower-bridge", [f], lhs, reverse_derivative(f, n + 1))
+            yield _cmp(law, [f], lhs, reverse_derivative(f, n + 1))
     return _first(checks())
 
 
-def law_dagger_bridge(rng: random.Random, cfg: CorpusConfig) -> LawFailure | None:
-    f = random_single_block_map(rng, cfg)
-    return _first(_cmp("dagger-bridge", [f], dagger(forward_derivative(f, order), 2),
+def _dagger_bridge(law: str, cfg: CorpusConfig, f: PolyMap) -> LawFailure | None:
+    return _first(_cmp(law, [f], dagger(forward_derivative(f, order), 2),
                        reverse_derivative(f, order))
                   for order in range(1, cfg.max_order + 2))
 
 
-def law_tower_symmetry(rng: random.Random, cfg: CorpusConfig) -> LawFailure | None:
-    f = random_single_block_map(rng, cfg)
-
+def _tower_symmetry(law: str, cfg: CorpusConfig, f: PolyMap) -> LawFailure | None:
     def checks():
         for order in range(1, min(cfg.max_order, 3) + 1):
             t = forward_derivative(f, order)
@@ -484,117 +460,105 @@ def law_tower_symmetry(rng: random.Random, cfg: CorpusConfig) -> LawFailure | No
                 for q in range(p + 1, nb + 1):
                     placement = _keep(nb)
                     placement[p], placement[q] = q, p
-                    yield _cmp("tower-symmetry", [f], precompose_blocks(t, t.domain, placement), t)
+                    yield _cmp(law, [f], precompose_blocks(t, t.domain, placement), t)
     return _first(checks())
 
 
-def law_tower_dlinear(rng: random.Random, cfg: CorpusConfig) -> LawFailure | None:
-    f = random_single_block_map(rng, cfg)
-
+def _tower_dlinear(law: str, cfg: CorpusConfig, f: PolyMap) -> LawFailure | None:
     def checks():
         for order in range(1, min(cfg.max_order, 3) + 1):
             t = forward_derivative(f, order)
             for j in range(2, t.domain.block_count + 1):
-                yield _flag("tower-dlinear", [f], is_dlinear(t, j), t, f"D-linear in block {j}")
+                yield _flag(law, [f], is_dlinear(t, j), t, f"D-linear in block {j}")
     return _first(checks())
 
 
-def law_tower_klinear_covector(rng: random.Random, cfg: CorpusConfig) -> LawFailure | None:
-    f = random_single_block_map(rng, cfg)
+def _tower_klinear_covector(law: str, cfg: CorpusConfig, f: PolyMap) -> LawFailure | None:
     towers = (reverse_derivative(f, order) for order in range(1, cfg.max_order + 2))
-    return _first(_flag("tower-klinear-covector", [f], is_klinear_in_block(t, 2), t,
-                        "k-linear in block 2") for t in towers)
+    return _first(_flag(law, [f], is_klinear_in_block(t, 2), t, "k-linear in block 2")
+                  for t in towers)
 
 
-def law_degree_bound(rng: random.Random, cfg: CorpusConfig) -> LawFailure | None:
+def _degree_bound(law: str, cfg: CorpusConfig, f: PolyMap) -> LawFailure | None:
     """The reverse tower of order beyond the total degree vanishes."""
-    f = random_single_block_map(rng, cfg)
-    order = max(f.max_degree(), 0) + 1
-    t = reverse_derivative(f, order)
-    return _flag("degree-bound", [f], t.is_zero(), t, "0")
+    t = reverse_derivative(f, max(f.max_degree(), 0) + 1)
+    return _flag(law, [f], t.is_zero(), t, "0")
 
 
 # -- partition-sum chain rules -------------------------------------------------
 
 
-def _fdb(mode: str, rng: random.Random, cfg: CorpusConfig) -> LawFailure | None:
-    """The partition sum has Bell(n+1) summands and equals the iterated
-    oracle, for every order offset n up to the configured order."""
-    f, g = random_composable_pair(rng, cfg)
+def _fdb(law: str, cfg: CorpusConfig, f: PolyMap, g: PolyMap) -> LawFailure | None:
+    """The partition sum in the mode that ends the law's id has Bell(n+1)
+    summands and equals the iterated oracle, for every order offset n up to
+    the configured order."""
+    mode = law.removeprefix("fdb-")
 
     def checks():
         for n in range(cfg.max_order + 1):
             rep = fdb_report(f, g, n, mode)
             count, want = len(rep.summands), bell(n + 1)
-            yield _flag(f"fdb-{mode}-count", [f, g], count == want, count, want)
-            yield _flag(f"fdb-{mode}", [f, g], rep.equal, rep.total, rep.oracle)
+            yield _flag(f"{law}-count", [f, g], count == want, count, want)
+            yield _flag(law, [f, g], rep.equal, rep.total, rep.oracle)
     return _first(checks())
 
 
-def law_fdb_forward(rng: random.Random, cfg: CorpusConfig) -> LawFailure | None:
-    return _fdb("forward", rng, cfg)
-
-
-def law_fdb_reverse(rng: random.Random, cfg: CorpusConfig) -> LawFailure | None:
-    return _fdb("reverse", rng, cfg)
-
-
-def law_fdb_reverse_base(rng: random.Random, cfg: CorpusConfig) -> LawFailure | None:
+def _fdb_reverse_base(law: str, cfg: CorpusConfig, f: PolyMap, g: PolyMap) -> LawFailure | None:
     """Order offset 0 of the reverse partition sum is the chain rule verbatim."""
-    f, g = random_composable_pair(rng, cfg)
     rep = fdb_report(f, g, 0, "reverse")
-    return _cmp("fdb-reverse-base", [f, g], rep.total, _chain_rhs(f, g, 1))
+    return _cmp(law, [f, g], rep.total, _chain_rhs(f, g, 1))
 
 
-SuiteLaw = tuple[str, Callable[[random.Random, CorpusConfig], LawFailure | None]]
+# a law's id, the draw of its inputs, and the check of them
+SuiteLaw = tuple[str, Callable[..., tuple], Callable[..., LawFailure | None]]
 
 LAWS: dict[str, list[SuiteLaw]] = {
     "rd-axioms": [
-        ("rd1", law_rd1),
-        ("rd2", law_rd2),
-        ("rd3", law_rd3),
-        ("rd4", law_rd4),
-        ("rd5", law_rd5),
-        ("rd6", law_rd6),
-        ("rd7", law_rd7),
-        ("partial-pairing", law_partial_pairing),
-        ("cd5-chain", law_cd5_chain),
-        ("schwarz", law_schwarz),
+        ("rd1", _draw_rd1, _linearity),
+        ("rd2", _one_block, _covector_linear),
+        ("rd3", _draw_rd3, _rd3),
+        ("rd4", _draw_rd4, _tuple_rule),
+        ("rd5", random_composable_pair, _chain),
+        ("rd6", _one_block, _transpose_of_forward),
+        ("rd7", _one_block, _mixed_partials),
+        ("partial-pairing", _on_profile, _partial_pairing),
+        ("cd5-chain", random_composable_pair, _cd5_chain),
+        ("schwarz", _draw_schwarz, _schwarz),
     ],
     "context": [
-        ("ctx-rd1", law_ctx_rd1),
-        ("ctx-rd2", law_ctx_rd2),
-        ("ctx-rd3", law_ctx_rd3),
-        ("ctx-rd4", law_ctx_rd4),
-        ("ctx-rd5", law_ctx_rd5),
-        ("ctx-rd6", law_ctx_rd6),
-        ("ctx-rd7", law_ctx_rd7),
-        ("ctx-tuple", law_ctx_tuple),
+        ("ctx-rd1", _draw_ctx_rd1, _linearity),
+        ("ctx-rd2", _context, _covector_linear),
+        ("ctx-rd3", lambda rng, cfg: (random_profile(rng, cfg),), _ctx_rd3),
+        ("ctx-rd4", _draw_ctx_rd4, _tuple_rule),
+        ("ctx-rd5", _draw_ctx_rd5, _chain),
+        ("ctx-rd6", _context, _ctx_rd6),
+        ("ctx-rd7", _context, _mixed_partials),
+        ("ctx-tuple", _context, _ctx_tuple),
     ],
     "dagger": [
-        ("dagger-contravariance", law_dagger_contravariance),
-        ("dagger-base-independence", law_dagger_base_independence),
-        ("dagger-partial", law_dagger_partial),
-        ("dagger-involution", law_dagger_involution),
-        ("dlinear-implies-klinear", law_dlinear_implies_klinear),
+        ("dagger-contravariance", _draw_dagger_contravariance, _dagger_contravariance),
+        ("dagger-base-independence", _one_block, _dagger_base_independence),
+        ("dagger-partial", _draw_dagger_partial, _transpose_of_forward),
+        ("dagger-involution", _dlinear, _dagger_involution),
+        ("dlinear-implies-klinear", _dlinear, _dlinear_implies_klinear),
     ],
     "stable": [
-        ("stable", law_stable),
-        ("stable-context", law_stable_context),
-        ("second-reverse", law_second_reverse),
-        ("tower-bridge", law_tower_bridge),
-        ("dagger-bridge", law_dagger_bridge),
-        ("tower-symmetry", law_tower_symmetry),
-        ("tower-dlinear", law_tower_dlinear),
-        ("tower-klinear-covector", law_tower_klinear_covector),
-        ("degree-bound", law_degree_bound),
+        ("stable", _one_block, _stable_rule),
+        ("stable-context", _context, _stable_rule),
+        ("second-reverse", _one_block, _second_reverse),
+        ("tower-bridge", _one_block, _tower_bridge),
+        ("dagger-bridge", _one_block, _dagger_bridge),
+        ("tower-symmetry", _one_block, _tower_symmetry),
+        ("tower-dlinear", _one_block, _tower_dlinear),
+        ("tower-klinear-covector", _one_block, _tower_klinear_covector),
+        ("degree-bound", _one_block, _degree_bound),
     ],
     "fdb-forward": [
-        ("fdb-forward", law_fdb_forward),
+        ("fdb-forward", random_composable_pair, _fdb),
     ],
     "fdb-reverse": [
-        ("fdb-reverse", law_fdb_reverse),
-        ("fdb-reverse-base", law_fdb_reverse_base),
+        ("fdb-reverse", random_composable_pair, _fdb),
+        ("fdb-reverse-base", random_composable_pair, _fdb_reverse_base),
     ],
 }
 
@@ -603,7 +567,8 @@ SUITE_NAMES = tuple(LAWS)
 
 def run_suite(suite: str, seed: int = 42, cases: int = 100,
               config: CorpusConfig | None = None) -> LawReport:
-    """Run every law of a suite ``cases`` times; exact comparisons only."""
+    """Run every law of a suite ``cases`` times, each case one draw and one
+    check of its inputs; exact comparisons only."""
     if suite not in LAWS:
         raise ValueError(f"unknown suite {suite!r}; choose from {', '.join(SUITE_NAMES)}")
     cfg = config or CorpusConfig()
@@ -611,12 +576,12 @@ def run_suite(suite: str, seed: int = 42, cases: int = 100,
     failures: list[LawFailure] = []
     law_ids: list[str] = []
     law_failures: list[int] = []
-    for law_id, law in LAWS[suite]:
+    for law_id, draw, check in LAWS[suite]:
         rng = random.Random(f"{seed}/{law_id}")
-        found = [fail for fail in (law(rng, cfg) for _ in range(cases)) if fail is not None]
+        found = [fail for fail in (check(law_id, cfg, *draw(rng, cfg)) for _ in range(cases))
+                 if fail is not None]
         failures += found
         law_ids.append(law_id)
         law_failures.append(len(found))
     elapsed_ms = int((time.perf_counter() - start) * 1000)
     return LawReport(suite, seed, cases, failures, elapsed_ms, law_ids, law_failures)
-

@@ -15,35 +15,7 @@ from revderiv import cli
 from revderiv.combinators import dagger
 from revderiv.corpus import CorpusConfig, random_composable_pair, random_map, random_profile
 from revderiv.faa_di_bruno import fdb_report
-from revderiv.laws import (
-    LAWS,
-    LawFailure,
-    _chain_rhs,
-    law_ctx_rd1,
-    law_ctx_rd2,
-    law_ctx_rd3,
-    law_ctx_rd4,
-    law_ctx_rd5,
-    law_ctx_rd6,
-    law_ctx_rd7,
-    law_ctx_tuple,
-    law_dagger_base_independence,
-    law_dagger_bridge,
-    law_dagger_contravariance,
-    law_dagger_involution,
-    law_dagger_partial,
-    law_rd1,
-    law_rd2,
-    law_rd3,
-    law_rd4,
-    law_rd5,
-    law_rd6,
-    law_rd7,
-    law_stable,
-    law_stable_context,
-    law_tower_dlinear,
-    law_tower_symmetry,
-)
+from revderiv.laws import LAWS, LawFailure, _chain_rhs
 from revderiv.maps import ArityProfile, compose, pair, select_blocks
 from revderiv.syntax import parse_map
 from revderiv.towers import forward_tower, reverse_tower
@@ -57,58 +29,50 @@ def _verdict(name, ok):
     assert ok, name
 
 
-def _run_law(law, law_id, cases):
+ENTRIES = {law_id: (draw, check) for laws in LAWS.values() for law_id, draw, check in laws}
+
+
+def _run_law(law_id, cases):
+    """The failures of ``cases`` cases of the law, each a draw and a check of it."""
+    draw, check = ENTRIES[law_id]
     rng = random.Random(f"{SEED}/{law_id}")
     failures = []
     for _ in range(cases):
-        failure = law(rng, CFG)
+        failure = check(law_id, CFG, *draw(rng, CFG))
         if failure is not None:
             failures.append(failure)
     return failures
 
 
 def test_criterion_1_rd_axioms():
-    laws = [
-        ("rd1", law_rd1), ("rd2", law_rd2), ("rd3", law_rd3), ("rd4", law_rd4),
-        ("rd5", law_rd5), ("rd6", law_rd6), ("rd7", law_rd7),
-    ]
     start = time.perf_counter()
     failures = []
-    for law_id, law in laws:
-        failures += _run_law(law, law_id, 100)
+    for law_id in ("rd1", "rd2", "rd3", "rd4", "rd5", "rd6", "rd7"):
+        failures += _run_law(law_id, 100)
     elapsed = time.perf_counter() - start
     ok = not failures and elapsed < 60.0
     _verdict(f"1 seven axioms, 100 cases each, exact ({elapsed:.1f}s)", ok)
 
 
 def test_criterion_2_context_suite():
-    laws = [
-        ("ctx-rd1", law_ctx_rd1), ("ctx-rd2", law_ctx_rd2), ("ctx-rd3", law_ctx_rd3),
-        ("ctx-rd4", law_ctx_rd4), ("ctx-rd5", law_ctx_rd5), ("ctx-rd6", law_ctx_rd6),
-        ("ctx-rd7", law_ctx_rd7), ("ctx-tuple", law_ctx_tuple),
-    ]
     failures = []
-    for law_id, law in laws:
-        failures += _run_law(law, law_id, 50)
+    for law_id in ("ctx-rd1", "ctx-rd2", "ctx-rd3", "ctx-rd4", "ctx-rd5", "ctx-rd6",
+                   "ctx-rd7", "ctx-tuple"):
+        failures += _run_law(law_id, 50)
     _verdict("2 context identities with nonzero contexts, 50 cases each", not failures)
 
 
 def test_criterion_3_dagger_suite():
-    laws = [
-        ("dagger-contravariance", law_dagger_contravariance),
-        ("dagger-base-independence", law_dagger_base_independence),
-        ("dagger-partial", law_dagger_partial),
-        ("dagger-involution", law_dagger_involution),
-    ]
     failures = []
-    for law_id, law in laws:
-        failures += _run_law(law, law_id, 50)
+    for law_id in ("dagger-contravariance", "dagger-base-independence", "dagger-partial",
+                   "dagger-involution"):
+        failures += _run_law(law_id, 50)
     _verdict("3 transpose laws and involution, 50 cases each", not failures)
 
 
 def test_criterion_4_stable_rule():
-    failures = _run_law(law_stable, "stable", 100)
-    failures += _run_law(law_stable_context, "stable-context", 100)
+    failures = _run_law("stable", 100)
+    failures += _run_law("stable-context", 100)
     _verdict("4 stable rule, plain and in context, 100 cases each", not failures)
 
 
@@ -122,7 +86,7 @@ def test_criterion_5_tower_transpose_bridge():
             for order in range(1, 5):  # orders 1..4
                 if dagger(forward_tower(target, order), 2) != reverse_tower(target, order):
                     bad += 1
-    failures = _run_law(law_dagger_bridge, "dagger-bridge", 50)
+    failures = _run_law("dagger-bridge", 50)
     _verdict("5 forward-tower transpose equals reverse tower, orders 1..4, 50 cases",
              bad == 0 and not failures)
 
@@ -186,8 +150,8 @@ def test_criterion_8_summand_counts():
 
 
 def test_criterion_9_tower_symmetry_and_linearity():
-    failures = _run_law(law_tower_symmetry, "tower-symmetry", 30)
-    failures += _run_law(law_tower_dlinear, "tower-dlinear", 30)
+    failures = _run_law("tower-symmetry", 30)
+    failures += _run_law("tower-dlinear", 30)
     _verdict("9 forward tower symmetric and D-linear in its vector blocks, 30 cases",
              not failures)
 
@@ -214,7 +178,8 @@ def test_criterion_10_cli_contract(capsys, monkeypatch):
     ok2 = cli.main(["derive", "--map", "(x1^"]) == 2
     monkeypatch.setitem(
         LAWS, "rd-axioms",
-        [("broken", lambda rng, cfg: LawFailure("broken", ["(x1)"], "(x1)", "(x2)"))],
+        [("broken", lambda rng, cfg: (),
+          lambda law, cfg: LawFailure(law, ["(x1)"], "(x1)", "(x2)"))],
     )
     ok1 = cli.main(["verify", "--suite", "rd-axioms", "--cases", "1"]) == 1
     capsys.readouterr()

@@ -4,7 +4,6 @@ import gc
 import json
 import math
 import os
-import random
 import re
 import subprocess
 import sys
@@ -99,6 +98,15 @@ def test_derive_past_the_coordinate_cap_exits_2(capsys, monkeypatch):
         code, out, err = run_cli(capsys, "derive", "--map", "(x1)", "--blocks", blocks)
         assert code == 2 and out == ""
         assert f"--blocks total {sum(map(int, blocks.split(',')))} exceeds the cap 1000" in err
+
+
+@pytest.mark.parametrize("blocks", ["1,x", "", "2,-1"])
+def test_derive_bad_block_list_is_a_usage_error(capsys, blocks):
+    # a block that is no integer, and a negative block
+    with pytest.raises(SystemExit) as exc:
+        run_cli(capsys, "derive", "--map", "(x1)", f"--blocks={blocks}")
+    assert exc.value.code == 2
+    assert f"argument --blocks: bad block list {blocks!r}" in capsys.readouterr().err
 
 
 def test_derive_echoes_integers_of_any_length(capsys):
@@ -320,13 +328,20 @@ def test_verify_rejects_nonpositive_parameters(capsys):
 
 
 def test_verify_failure_exits_1(capsys, monkeypatch):
-    def broken(rng: random.Random, cfg):
-        return LawFailure("broken", ["(x1)"], "(x1)", "(x2)")
+    def broken(law, cfg):
+        return LawFailure(law, ["(x1)"], "(x1)", "(x2)")
 
-    monkeypatch.setitem(LAWS, "rd-axioms", [("broken", broken)])
+    monkeypatch.setitem(LAWS, "rd-axioms", [("broken", lambda rng, cfg: (), broken)])
     code, out, _ = run_cli(capsys, "verify", "--suite", "rd-axioms", "--cases", "2")
     assert code == 1
     assert "FAIL broken" in out
+    # a count of one is printed in the singular
+    code, out, _ = run_cli(capsys, "verify", "--suite", "rd-axioms", "--cases", "1",
+                           "--seed", "3")
+    header, line = out.splitlines()[:2]
+    assert re.fullmatch(r"suite rd-axioms: seed 3, 1 case per law, 1 law, 1 failure \(\d+ ms\)",
+                        header)
+    assert line == "  broken: 1 case, 1 failure"
 
 
 def test_verify_counts_each_failure_under_the_law_that_ran(capsys, monkeypatch):
@@ -345,7 +360,7 @@ def test_verify_counts_each_failure_under_the_law_that_ran(capsys, monkeypatch):
     args = ("--cases", "2", "--seed", "42")
     code, out, _ = run_cli(capsys, "verify", "--suite", "fdb-forward", *args)
     assert code == 1
-    assert ", 1 laws, 2 failures (" in out.splitlines()[0]
+    assert ", 1 law, 2 failures (" in out.splitlines()[0]
     assert out.splitlines()[1] == "  fdb-forward: 2 cases, 2 failures"
     assert out.count("  FAIL fdb-forward-count\n") == 2
     code, out, _ = run_cli(capsys, "verify", "--suite", "fdb-reverse", *args)
@@ -378,6 +393,25 @@ def test_verify_max_dim_is_capped_before_any_law_runs(capsys, monkeypatch):
     # the cap itself passes the check and reaches the suites
     code, _, _ = run_cli(capsys, "verify", "--suite", "stable", "--max-dim", "333")
     assert code == 0 and ran == [333]
+
+
+def test_verify_max_deg_is_capped_before_any_law_runs(capsys, monkeypatch):
+    # past the cap one case of a suite can take minutes: the fdb laws
+    # differentiate the composite of two drawn maps, of degree up to its square
+    assert cli.MAX_DEG_CAP == 8
+    ran = []
+
+    def record(suite, seed, cases, cfg):
+        ran.append(cfg.max_degree)
+        return LawReport(suite, seed, cases, [], 0, [], [])
+
+    monkeypatch.setattr(cli, "run_suite", record)
+    code, out, err = run_cli(capsys, "verify", "--max-deg", "9")
+    assert code == 2 and out == "" and ran == []
+    assert "--max-deg 9 exceeds the cap 8" in err
+    # the cap itself passes the check and reaches the suites
+    code, _, _ = run_cli(capsys, "verify", "--suite", "stable", "--max-deg", "8")
+    assert code == 0 and ran == [8]
 
 
 def test_verify_seed_env_var(capsys, monkeypatch):
@@ -543,6 +577,9 @@ REFUSALS = [
     (["verify", "--max-dim", "334"], {},
      "error: --max-dim 334 exceeds the cap 333; a drawn map has up to 3 blocks, and derive "
      "takes 1000 coordinates\n"),
+    (["verify", "--max-deg", "9"], {},
+     "error: --max-deg 9 exceeds the cap 8; the laws differentiate composites of two drawn "
+     "maps, of degree up to 64\n"),
     (["verify", "--suite", "fdb-reverse", "--max-order", "5"], {},
      "error: --max-order 5 exceeds the cap 4; the fdb suites go no higher; pick another --suite\n"),
     (["verify", "--suite", "rd-axioms"], {"RFDB_SEED": "abc"},

@@ -333,6 +333,16 @@ def test_slice_compose_zero_context_is_plain_composition():
     assert slice_compose(g0, f0, 0).coords == compose(g, f).coords
 
 
+@pytest.mark.parametrize("g, g_blocks, f, context_dim, message", [
+    ("(x1)", (1,), "(x1*x2)", 1, "context composition expects two-block domains"),
+    ("(x1*x2)", (1, 1), "(x1*x2)", 2, "context blocks must both have dimension 2"),
+    ("(x1 + x2)", (1, 1), "(x1*x2, x2)", 1, "inner map produces 2 outputs, outer expects 1"),
+], ids=["blocks", "context", "interface"])
+def test_slice_compose_refusals(g, g_blocks, f, context_dim, message):
+    with pytest.raises(ValueError, match=message):
+        slice_compose(parse_map(g, blocks=g_blocks), parse_map(f, blocks=(1, 1)), context_dim)
+
+
 def test_slice_reverse():
     # the reverse derivative in a fixed context block is the partial in block 2
     f = parse_map("(x1*x2^2)", blocks=(1, 1))     # f(c, x) = c*x^2

@@ -252,8 +252,8 @@ def test_counting_the_summands_and_the_fdb_laws_build_no_summand(mode, monkeypat
     assert len(rep.summands) == 52 and rep.equal
     # the fdb laws read the count, the total and the verdict
     cfg = CorpusConfig(max_order=2)
-    assert all(law(random.Random(f"0/{law_id}"), cfg) is None
-               for law_id, law in LAWS[f"fdb-{mode}"])
+    assert all(check(law_id, cfg, *draw(random.Random(f"0/{law_id}"), cfg)) is None
+               for law_id, draw, check in LAWS[f"fdb-{mode}"])
     assert built == []
     # reading the summands builds each once, in partition order
     assert [s.partition for s in rep.summands] == enumerate_partitions(5)

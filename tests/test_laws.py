@@ -19,7 +19,7 @@ def test_every_suite_green_on_small_corpus():
         report = run_suite(name, seed=7, cases=5, config=cfg)
         assert report.ok, [f.law for f in report.failures]
         assert report.suite == name
-        assert report.laws == [law_id for law_id, _ in LAWS[name]]
+        assert report.laws == [law_id for law_id, _, _ in LAWS[name]]
 
 
 def test_alternate_seed_and_shape_limits():
@@ -66,10 +66,10 @@ def test_reports_are_deterministic_for_fixed_seed():
 
 def test_failure_record_shape():
     # wire a deliberately broken law through the runner to check reporting
-    def broken(rng: random.Random, cfg: CorpusConfig):
-        return LawFailure("broken", ["(x1)"], "(x1)", "(x2)")
+    def broken(law: str, cfg: CorpusConfig):
+        return LawFailure(law, ["(x1)"], "(x1)", "(x2)")
 
-    LAWS["_synthetic"] = [("broken", broken)]
+    LAWS["_synthetic"] = [("broken", lambda rng, cfg: (), broken)]
     try:
         report = run_suite("_synthetic", seed=1, cases=3)
     finally:
@@ -91,7 +91,7 @@ def test_dagger_partial_failures_carry_its_own_id(monkeypatch):
     # a broken transpose makes the law fail on every case: dagger-partial runs
     # the transpose of the forward derivative that rd6 shares
     monkeypatch.setattr(laws, "dagger", lambda f, j: identity(1))
-    monkeypatch.setitem(LAWS, "dagger", [("dagger-partial", laws.law_dagger_partial)])
+    monkeypatch.setitem(LAWS, "dagger", [e for e in LAWS["dagger"] if e[0] == "dagger-partial"])
     report = run_suite("dagger", seed=1, cases=3)
     assert [f.law for f in report.failures] == ["dagger-partial"] * 3
 
@@ -104,7 +104,7 @@ def test_fdb_failures_carry_the_mode_in_their_id(monkeypatch, mode):
         return lambda f, g, n, m: FdbReport(m, n, f, g, plan, reps, total, oracle,
                                             None if total == oracle else "differs")
 
-    monkeypatch.setitem(LAWS, f"fdb-{mode}", [(f"fdb-{mode}", getattr(laws, f"law_fdb_{mode}"))])
+    monkeypatch.setitem(LAWS, f"fdb-{mode}", LAWS[f"fdb-{mode}"][:1])
     # a wrong summand count is reported before the totals are compared
     monkeypatch.setattr(laws, "fdb_report", fake_report((), identity(1)))
     failures = run_suite(f"fdb-{mode}", seed=1, cases=2).failures
@@ -131,13 +131,13 @@ def test_every_law_reports_under_its_own_id(monkeypatch):
     cfg = CorpusConfig()
     failed = set()
     for suite, entries in LAWS.items():
-        for law_id, law in entries:
+        for law_id, draw, check in entries:
             calls.clear()
-            failure = law(random.Random(f"0/{law_id}"), cfg)
+            failure = check(law_id, cfg, *draw(random.Random(f"0/{law_id}"), cfg))
             # no check runs after the first failure
             assert len(calls) == 1, (suite, law_id, calls)
             if failure is not None:
                 assert failure.law in (law_id, f"{law_id}-count"), (suite, law_id)
                 failed.add(law_id)
     # every law builds its failures through _cmp or _flag, so every law reached them
-    assert failed == {law_id for entries in LAWS.values() for law_id, _ in entries}
+    assert failed == {law_id for entries in LAWS.values() for law_id, _, _ in entries}

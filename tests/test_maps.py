@@ -235,6 +235,13 @@ def test_compose_interface_mismatch():
         compose(g, f)
 
 
+def test_map_dimension_checks():
+    with pytest.raises(ValueError, match="coordinate polynomial has 1 inputs, domain has 2"):
+        PolyMap(ArityProfile((1, 1)), (Polynomial.variable(0, 1),))
+    with pytest.raises(ValueError, match="point has 1 coordinates, domain has 2"):
+        identity(2).evaluate([1])
+
+
 def test_maps_are_immutable():
     f = identity(2)
     with pytest.raises(AttributeError):

@@ -93,6 +93,8 @@ def test_set_partition_validation():
         SetPartition(((1,), ()))  # empty block
     with pytest.raises(ValueError):
         SetPartition(((1,), (3,)))  # gap
+    with pytest.raises(ValueError, match=r"block \(2, 1\) is not sorted"):
+        SetPartition(((2, 1),))
 
 
 def test_block_sizes_and_text():

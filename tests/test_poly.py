@@ -1,6 +1,7 @@
 """Polynomial arithmetic against independent brute-force oracles."""
 
 import random
+import re
 import sys
 from fractions import Fraction
 from operator import itemgetter
@@ -152,6 +153,10 @@ def test_scale():
     assert p.scale(1) == p
     half = P(1, {(1,): 2, (0,): 4}).scale(Fraction(1, 2))
     assert half == P(1, {(1,): 1, (0,): 2})
+    # a product with a scalar, on either side, is the scaled polynomial
+    assert p * 3 == 3 * p == p.scale(3)
+    assert p * Fraction(1, 2) == Fraction(1, 2) * p == p.scale(Fraction(1, 2))
+    assert 0 * p == Polynomial.zero(1)
 
 
 def test_mul():
@@ -219,6 +224,40 @@ def test_dim_mismatch_raises():
         P(1, {(1,): 1}).partial(1)
     with pytest.raises(ValueError):
         P(1, {(1,): 1}).evaluate([1, 2])
+
+
+X1, X12 = Polynomial.variable(0, 1), Polynomial.variable(0, 2)
+
+# (name, refused call, its error, the start of its message)
+REFUSALS = [
+    ("from_dict-width", lambda: Polynomial.from_dict(2, {(1,): 1}), ValueError,
+     "monomial (1,) has 1 exponents, expected 2"),
+    ("from_dict-negative", lambda: Polynomial.from_dict(1, {(-1,): 1}), ValueError,
+     "negative exponent in monomial (-1,)"),
+    ("variable-range", lambda: Polynomial.variable(2, 2), IndexError,
+     "coordinate index 2 out of range for dimension 2"),
+    ("substitute-count", lambda: X12.substitute([X1]), ValueError,
+     "1 substitution arguments, expected 2"),
+    ("substitute-spaces", lambda: X12.substitute([X1, X12]), ValueError,
+     "substitution arguments live in different spaces"),
+    ("substitute-no-dim", lambda: Polynomial.constant(0, 1).substitute([]), ValueError,
+     "substituting into a 0-coordinate polynomial needs an explicit dim"),
+    ("pad-down", lambda: X12.pad(1), ValueError, "cannot pad from dimension 2 down to 1"),
+]
+
+
+@pytest.mark.parametrize("call, error, message", [r[1:] for r in REFUSALS],
+                         ids=[r[0] for r in REFUSALS])
+def test_refusals_name_the_bad_argument(call, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        call()
+
+
+def test_pad_to_its_own_dimension_is_the_polynomial():
+    assert X12.pad(2) is X12
+    assert X1.pad(2) == X12
+    # a 0-coordinate polynomial substitutes into the dimension it is given
+    assert Polynomial.constant(0, 4).substitute([], 2) == Polynomial.constant(2, 4)
 
 
 def test_zero_dim_polynomials():

@@ -244,12 +244,12 @@ def test_negative_order_rejected():
 
 
 def test_stable_rule_square():
-    assert _stable_rule("stable", parse_map("(x1^2)"), 1) is None
+    assert _stable_rule("stable", CorpusConfig(), parse_map("(x1^2)"), 1) is None
 
 
 def test_stable_rule_linear_both_sides_zero():
     f = parse_map("(3*x1 - x2, x1)", blocks=(2,))
-    assert _stable_rule("stable", f, 1) is None
+    assert _stable_rule("stable", CorpusConfig(), f, 1) is None
     assert partial_reverse(forward_tower(f, 1), 1).is_zero() and reverse_tower(f, 2).is_zero()
 
 
@@ -258,7 +258,7 @@ def test_stable_rule_random_corpus():
     cfg = CorpusConfig()
     for _ in range(30):
         f = random_single_block_map(rng, cfg)
-        assert _stable_rule("stable", f, 1) is None
+        assert _stable_rule("stable", cfg, f, 1) is None
 
 
 def test_stable_rule_in_context_random():
@@ -266,9 +266,9 @@ def test_stable_rule_in_context_random():
     cfg = CorpusConfig()
     for _ in range(20):
         f = random_context_map(rng, cfg)
-        assert _stable_rule("stable-context", f, 2) is None
+        assert _stable_rule("stable-context", cfg, f, 2) is None
     with pytest.raises(IndexError):
-        _stable_rule("stable-context", parse_map("(x1)"), 2)
+        _stable_rule("stable-context", cfg, parse_map("(x1)"), 2)
 
 
 def _transposed_forward(f, order):
