@@ -52,21 +52,28 @@ total and the oracle, never the Bell(n+1) summands: ``report.summands`` has
 their count at no cost and builds each summand only when it is read, and
 :meth:`FdbReport.json_stream` prints them one at a time, with one table of
 monomial texts for every map, since they share a domain and most monomials
-recur among them.  Apart from that table, a report's output needs memory for
-one summand, however many partitions there are.
+recur among them.  The printer builds no summand map either: it prints each
+shape's map, and the coefficients of each shape that is not zero, once; a
+relabelled summand's text is its representative's monomials relabelled and
+sorted once, each after its coefficient's text and read from the table.  A
+summand that is its shape's map reuses the shape's text: the
+representative's, and every summand of a zero shape, most of them at large
+n.  Apart from that table, a report's output needs memory for one summand,
+however many partitions there are.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
 from itertools import chain
-from operator import itemgetter
+from operator import add, itemgetter, not_
 
 from ._records import FrozenRecord
 from .combinators import _require_single_block, forward_derivative, reverse_derivative
 from .maps import ArityProfile, PolyMap, compose, pair, precompose_blocks, projection, zero_map
 from .partitions import SetPartition, enumerate_partitions
-from .poly import Coefficient, Monomial, Polynomial, _accumulate, _text
+from .poly import (Coefficient, Monomial, Polynomial, _accumulate, _coefficient_text, _Names,
+                   _signed, _text)
 from .towers import forward_tower, reverse_tower
 
 # (combinator, which map, order): e.g. ("forward", "f", 2)
@@ -111,29 +118,40 @@ class FdbReport(FrozenRecord):
         """Every partition's summand, in canonical partition order, built when read."""
         return _Summands(self)
 
-    def _stream(self) -> Iterator[tuple[SetPartition, tuple[int, ...], PolyMap]]:
-        """Each partition, its block sizes and its summand, one at a time."""
-        reps, columns = dict(self.reps), _columns(self.reps)
-        for part, shape, picks in self.plan:
-            yield part, part.block_sizes(), _summand(reps[shape], columns.get(shape), picks)
-
     def json_stream(self) -> dict:
         """The dict of :meth:`to_json` with ``"summands"`` a generator: a writer
         that prints one summand at a time holds one summand, not the report's
         output."""
         # one monomial table for the summands, the total and the oracle
-        names: dict[Monomial, str] = {}
+        names = _Names()
 
         def text(f: PolyMap) -> str:
-            return "(" + ", ".join(_text(p, names) for p in f.coords) + ")"
+            return "(" + ", ".join([_text(p, names) for p in f.coords]) + ")"
 
         def summands() -> Iterator[dict]:
-            for part, sizes, result in self._stream():
+            # the columns of each shape whose representative is not zero, with
+            # the coefficients printed (a degree-0 term's as a constant), and
+            # the text of each shape's own map
+            live = {shape: tuple((deg, monos, list(map(_coefficient_text, coeffs, map(not_, deg))))
+                                 for deg, monos, coeffs in columns)
+                    for shape, columns in _columns(self.reps).items()}
+            shapes = {shape: _summand_text(live[shape], None, names) if shape in live else text(rep)
+                      for shape, rep in self.reps}
+            factors: dict[tuple[int, ...], tuple[Factor, ...]] = {}
+            for part, shape, picks in self.plan:
+                sizes = part.block_sizes()
+                if sizes not in factors:
+                    factors[sizes] = _factors(sizes, self.mode)
+                coords = live.get(shape)
+                if picks is None or coords is None:
+                    result = shapes[shape]
+                else:
+                    result = _summand_text(coords, itemgetter(*picks), names)
                 yield {
                     "partition": str(part),
                     "block_sizes": list(sizes),
-                    "factors": [list(fac) for fac in _factors(sizes, self.mode)],
-                    "map": text(result),
+                    "factors": list(map(list, factors[sizes])),
+                    "map": result,
                 }
 
         total = text(self.total)
@@ -158,7 +176,8 @@ class FdbReport(FrozenRecord):
 
 class _Summands(Sequence):
     """A report's summands: ``len`` builds none, and an index or an iteration
-    builds one summand at a time."""
+    builds one summand at a time.  A slice is the tuple of its summands, and
+    the summands compare and hash as the tuple of all of them."""
 
     __slots__ = ("_report",)
 
@@ -168,16 +187,28 @@ class _Summands(Sequence):
     def __len__(self) -> int:
         return len(self._report.plan)
 
-    def __getitem__(self, i: int) -> FdbSummand:
+    def __getitem__(self, i: int | slice) -> FdbSummand | tuple[FdbSummand, ...]:
+        if isinstance(i, slice):
+            return tuple(map(self.__getitem__, range(len(self))[i]))
         part, shape, picks = self._report.plan[i]
         rep = dict(self._report.reps)[shape]
         result = _summand(rep, _columns(((shape, rep),)).get(shape), picks)
         return FdbSummand(part, _factors(part.block_sizes(), self._report.mode), result)
 
     def __iter__(self) -> Iterator[FdbSummand]:
-        mode = self._report.mode
-        for part, sizes, result in self._report._stream():
-            yield FdbSummand(part, _factors(sizes, mode), result)
+        report = self._report
+        reps, columns = dict(report.reps), _columns(report.reps)
+        for part, shape, picks in report.plan:
+            result = _summand(reps[shape], columns.get(shape), picks)
+            yield FdbSummand(part, _factors(part.block_sizes(), report.mode), result)
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, (_Summands, tuple)):
+            return tuple(self) == tuple(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
 
 
 class _Inner:
@@ -287,6 +318,15 @@ def _columns(reps: tuple[tuple[tuple[int, ...], PolyMap], ...]) -> dict[tuple[in
 _TERM = itemgetter(1, 2)  # (degree, monomial, coefficient) -> (monomial, coefficient)
 
 
+def _relabelled(column: tuple[list[int], list[Monomial], list], relabel: itemgetter) -> list[tuple]:
+    """One coordinate's columns with each monomial relabelled, as (degree,
+    monomial, third column) triples sorted in graded order, highest first.
+    A permutation keeps every degree and distinct monomials stay distinct, so
+    no two triples tie before the third column."""
+    degrees, monos, third = column
+    return sorted(zip(degrees, map(relabel, monos), third), reverse=True)
+
+
 def _summand(rep: PolyMap, columns: tuple[Columns, ...] | None,
              picks: tuple[int, ...] | None) -> PolyMap:
     """A partition's summand: its shape representative's, ``rep``, given also
@@ -295,11 +335,25 @@ def _summand(rep: PolyMap, columns: tuple[Columns, ...] | None,
     if picks is None or columns is None:
         return rep
     relabel, dim = itemgetter(*picks), rep.domain.total
-    # distinct monomials stay distinct: no two sorted triples tie before the coefficient
-    return PolyMap(rep.domain, tuple(
-        Polynomial(dim, tuple(map(_TERM, sorted(zip(degrees, map(relabel, monos), coeffs),
-                                                reverse=True))))
-        for degrees, monos, coeffs in columns))
+    return PolyMap(rep.domain, tuple(Polynomial(dim, tuple(map(_TERM, _relabelled(c, relabel))))
+                                     for c in columns))
+
+
+def _summand_text(coords: tuple[tuple[list[int], list[Monomial], list[str]], ...],
+                  relabel: itemgetter | None, names: _Names) -> str:
+    """The text of a summand of a shape whose representative is not zero,
+    from the representative's coordinates as columns with the coefficients
+    printed: the representative's own text when ``relabel`` is None, else that
+    of its summand relabelled.  Each term is its coefficient's text, then its
+    monomial's factors from ``names``."""
+    texts = []
+    for column in coords:
+        if relabel is not None and column[0]:
+            column = zip(*_relabelled(column, relabel))
+        _, monos, coeffs = column
+        texts.append(_signed("".join(map(add, coeffs, map(names.__getitem__, monos))))
+                     if monos else "0")
+    return "(" + ", ".join(texts) + ")"
 
 
 def _representatives(f: PolyMap, g: PolyMap, dom: ArityProfile, plan: tuple[PlanEntry, ...],

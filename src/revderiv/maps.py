@@ -17,7 +17,7 @@ from fractions import Fraction
 from itertools import accumulate
 
 from ._records import FrozenRecord
-from .poly import Coefficient, Polynomial
+from .poly import Coefficient, Polynomial, Substitution
 
 
 class ArityProfile(FrozenRecord):
@@ -184,17 +184,19 @@ def pair(maps: Sequence[PolyMap]) -> PolyMap:
 
 
 def compose(g: PolyMap, f: PolyMap) -> PolyMap:
-    """g after f: substitute f's coordinates into g's inputs."""
+    """g after f: substitute f's coordinates into g's inputs.
+
+    Every coordinate of g is substituted through one :class:`Substitution`:
+    the checks on f's coordinates, the zero and one-term ones, and the powers
+    of the others are set up once for all of them.
+    """
     if g.domain.total != f.codomain_dim:
         raise ValueError(
             f"cannot compose: inner map has {f.codomain_dim} outputs, "
             f"outer map expects {g.domain.total}"
         )
-    total = f.domain.total
-    return PolyMap(
-        f.domain,
-        tuple(p.substitute(f.coords, dim=total) for p in g.coords),
-    )
+    args = Substitution(f.coords, f.domain.total)
+    return PolyMap(f.domain, tuple(p.substitute(args) for p in g.coords))
 
 
 def reblock(f: PolyMap, profile: ArityProfile | Sequence[int]) -> PolyMap:

@@ -40,10 +40,10 @@ class SetPartition(FrozenRecord):
         self._init(blocks)
 
     def block_sizes(self) -> tuple[int, ...]:
-        return tuple(len(b) for b in self.blocks)
+        return tuple(map(len, self.blocks))
 
     def __str__(self) -> str:
-        return "|".join("{" + ",".join(str(i) for i in block) + "}" for block in self.blocks)
+        return "|".join(["{" + ",".join(map(str, block)) + "}" for block in self.blocks])
 
 
 def _built(blocks: tuple[tuple[int, ...], ...]) -> SetPartition:

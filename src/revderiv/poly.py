@@ -18,13 +18,17 @@ Every operation in which like terms can meet streams its raw terms into one
 accumulator that merges them in one dict and sorts once, and
 :meth:`Polynomial.sum` adds any number of polynomials the same way.
 Substitution folds each one-term argument into the exponents and the
-coefficient of a term, so only arguments with several terms are multiplied.
-Re-indexing that names each source coordinate once relabels each monomial and
-sorts once, with nothing to merge; a source named twice goes through the
-substitution fold.  One printer body serves ``str`` and callers that print
-many polynomials together and share a table of monomial texts; it finds a
-monomial's nonzero exponents with ``itertools.compress``, so a wide sparse
-monomial costs by its variables.
+coefficient of a term, so only arguments with several terms are multiplied;
+a :class:`Substitution` sets its arguments up once for any number of
+polynomials, the coordinates of one composite.  Re-indexing that names each
+source coordinate once relabels each monomial and sorts once, with nothing to
+merge; a source named twice goes through the substitution fold.  One printer
+body serves ``str`` and callers that print many polynomials together and
+share a table of monomial texts.  A term's text is its coefficient's text
+followed by its monomial's, each from a helper that callers printing from
+columns of monomials and coefficients use too; the monomial's finds the
+nonzero exponents with ``itertools.compress``, so a wide sparse monomial
+costs by its variables.
 
 Integers of any length, past the interpreter's int/str digit limit, are
 converted here alone: :func:`_digits` prints the printer's numbers and
@@ -217,56 +221,16 @@ class Polynomial(FrozenRecord):
         return sum((c * prod(v ** e for v, e in zip(values, m) if e) for m, c in self.terms),
                    Fraction(0))
 
-    def substitute(self, args: Sequence["Polynomial"], dim: int | None = None) -> "Polynomial":
+    def substitute(self, args: "Sequence[Polynomial] | Substitution",
+                   dim: int | None = None) -> "Polynomial":
         """Substitute ``args[i]`` for coordinate ``i``; all args share one space.
 
-        A term that uses a zero argument vanishes before any power is built.
-        A one-term argument k*x^m adds k^e to the term's coefficient and e*m
-        to its exponents, with no product; only arguments with several terms
-        are raised to powers (each power built once) and multiplied.
+        ``args`` may be a :class:`Substitution`, whose set-up serves every
+        polynomial it is passed with, as in :func:`maps.compose`.
         """
         if len(args) != self.dim:
             raise ValueError(f"{len(args)} substitution arguments, expected {self.dim}")
-        if args:
-            dim = args[0].dim
-            for p in args:
-                if p.dim != dim:
-                    raise ValueError("substitution arguments live in different spaces")
-        elif dim is None:
-            raise ValueError("substituting into a 0-coordinate polynomial needs an explicit dim")
-        zeros = [i for i, p in enumerate(args) if not p.terms]
-        # per argument: (coefficient, nonzero exponents) when it has one term
-        ones = [(p.terms[0][1], [(j, a) for j, a in enumerate(p.terms[0][0]) if a])
-                if len(p.terms) == 1 else None for p in args]
-        powers: dict[tuple[int, int], Polynomial] = {}
-
-        def expanded():
-            # every term's expansion goes into the one accumulator
-            for m, c in self.terms:
-                if zeros and any(m[i] for i in zeros):
-                    continue
-                mono = [0] * dim
-                product = None
-                for i, e in enumerate(m):
-                    if not e:
-                        continue
-                    one = ones[i]
-                    if one is not None:
-                        k, exps = one
-                        if k != 1:
-                            c = c * k ** e
-                        for j, a in exps:
-                            mono[j] += a * e
-                        continue
-                    if (i, e) not in powers:
-                        powers[i, e] = args[i] ** e
-                    product = powers[i, e] if product is None else product * powers[i, e]
-                if product is None:
-                    yield tuple(mono), c
-                else:
-                    yield from ((tuple(map(add, mono, mk)), c * k) for mk, k in product.terms)
-
-        return _accumulate(dim, expanded())
+        return (args if isinstance(args, Substitution) else Substitution(args, dim)).expand(self)
 
     def reindex(self, sources: Sequence[int | None], dim: int) -> "Polynomial":
         """Substitute coordinate ``sources[i]`` of a ``dim``-space, or zero when
@@ -325,25 +289,114 @@ class Polynomial(FrozenRecord):
 _set_dim, _set_terms = Polynomial.dim.__set__, Polynomial.terms.__set__
 
 
-def _text(p: Polynomial, names: dict[Monomial, str] | None = None) -> str:
+class Substitution:
+    """``args[i]`` for coordinate ``i`` of any polynomial in ``len(args)``
+    coordinates, with the set-up those polynomials share done once: the check
+    that the arguments share one space, the zero arguments, each one-term
+    argument's fold and, built on first use, each power of an argument with
+    several terms.
+
+    A term that uses a zero argument vanishes before any power is built.  A
+    one-term argument k*x^m adds k^e to the term's coefficient and e*m to its
+    exponents, with no product; only arguments with several terms are raised
+    to powers and multiplied.
+    """
+
+    __slots__ = ("args", "dim", "_zeros", "_ones", "_powers")
+
+    def __init__(self, args: Sequence[Polynomial], dim: int | None = None) -> None:
+        if args:
+            dim = args[0].dim
+            for p in args:
+                if p.dim != dim:
+                    raise ValueError("substitution arguments live in different spaces")
+        elif dim is None:
+            raise ValueError("substituting into a 0-coordinate polynomial needs an explicit dim")
+        self.args, self.dim = args, dim
+        self._zeros = [i for i, p in enumerate(args) if not p.terms]
+        # per argument: (coefficient, nonzero exponents) when it has one term
+        self._ones = [(p.terms[0][1], [(j, a) for j, a in enumerate(p.terms[0][0]) if a])
+                      if len(p.terms) == 1 else None for p in args]
+        self._powers: dict[tuple[int, int], Polynomial] = {}
+
+    def __len__(self) -> int:
+        return len(self.args)
+
+    def expand(self, p: Polynomial) -> Polynomial:
+        """``p`` with the arguments substituted; ``p`` has ``len(args)`` coordinates."""
+        args, dim, zeros, ones, powers = self.args, self.dim, self._zeros, self._ones, self._powers
+
+        def expanded():
+            # every term's expansion goes into the one accumulator
+            for m, c in p.terms:
+                if zeros and any(m[i] for i in zeros):
+                    continue
+                mono = [0] * dim
+                product = None
+                for i, e in enumerate(m):
+                    if not e:
+                        continue
+                    one = ones[i]
+                    if one is not None:
+                        k, exps = one
+                        if k != 1:
+                            c = c * k ** e
+                        for j, a in exps:
+                            mono[j] += a * e
+                        continue
+                    if (i, e) not in powers:
+                        powers[i, e] = args[i] ** e
+                    product = powers[i, e] if product is None else product * powers[i, e]
+                if product is None:
+                    yield tuple(mono), c
+                else:
+                    yield from ((tuple(map(add, mono, mk)), c * k) for mk, k in product.terms)
+
+        return _accumulate(dim, expanded())
+
+
+def _text(p: Polynomial, names: _Names | None = None) -> str:
     """The canonical text of ``p``.  ``names``, when given, caches each
     monomial's factor text, so polynomials printed together share it."""
     if not p.terms:
         return "0"
     pieces: list[str] = []
     for mono, coeff in p.terms:
-        # an int coefficient has these too, with denominator 1
-        num, den = coeff.numerator, coeff.denominator
-        body = _digits(abs(num)) if den == 1 else f"{_digits(abs(num))}/{_digits(den)}"
-        factors = None if names is None else names.get(mono)
-        if factors is None:
-            factors = "*".join([f"x{i}" if mono[i - 1] == 1 else f"x{i}^{_digits(mono[i - 1])}"
-                                for i in compress(count(1), mono)])
-            if names is not None:
-                names[mono] = factors
-        if factors:
-            body = factors if body == "1" else f"{body}*{factors}"
-        pieces.append(f" - {body}" if num < 0 else f" + {body}")
-    # the leading term drops its separator and keeps only a minus sign
-    text = "".join(pieces)
-    return text[3:] if text[1] == "+" else f"-{text[3:]}"
+        factors = _factor_text(mono) if names is None else names[mono]
+        pieces.append(_coefficient_text(coeff, not factors))
+        pieces.append(factors)
+    return _signed("".join(pieces))
+
+
+def _coefficient_text(coeff: Coefficient, constant: bool) -> str:
+    """A term's text up to its monomial's factors: " + " or " - ", then the
+    coefficient's magnitude, which a term with factors writes only when it is
+    not 1, and then with "*"."""
+    # an int coefficient has these too, with denominator 1
+    num, den = coeff.numerator, coeff.denominator
+    body = _digits(abs(num)) if den == 1 else f"{_digits(abs(num))}/{_digits(den)}"
+    if not constant:
+        body = "" if body == "1" else body + "*"
+    return (" - " if num < 0 else " + ") + body
+
+
+def _factor_text(mono: Monomial) -> str:
+    """A monomial's factors, "x1^2*x3", or "" for the constant monomial."""
+    return "*".join([f"x{i}" if mono[i - 1] == 1 else f"x{i}^{_digits(mono[i - 1])}"
+                     for i in compress(count(1), mono)])
+
+
+def _signed(text: str) -> str:
+    """The text of a sum from its terms' texts, each after " + " or " - ":
+    the leading term drops its separator and keeps only a minus sign."""
+    return text[3:] if text[1] == "+" else "-" + text[3:]
+
+
+class _Names(dict):
+    """A table of monomial texts that prints each monomial on first lookup."""
+
+    __slots__ = ()
+
+    def __missing__(self, mono: Monomial) -> str:
+        text = self[mono] = _factor_text(mono)
+        return text

@@ -195,14 +195,50 @@ def test_report_json_shape():
 
 @pytest.mark.parametrize("mode", ["forward", "reverse"])
 def test_report_json_maps_print_as_str(mode):
-    # to_json prints every map of a report with one shared monomial table
-    for f, g in corpus_pairs():
-        for n in range(4):
-            rep = fdb_report(f, g, n, mode)
-            payload = rep.to_json()
-            assert [s["map"] for s in payload["summands"]] == [str(s.result) for s in rep.summands]
-            assert payload["total"] == str(rep.total)
-            assert payload["oracle"] == str(rep.oracle)
+    # to_json prints every map of a report with one shared monomial table, and
+    # a relabelled summand from its shape's printed coefficients
+    big = 10**700 + 1  # past the int/str digit limit set below
+    pairs = corpus_pairs() + [
+        (parse_map("(1/2*x1^2 - x2, -x1*x2 + 3/7)", blocks=(2,)),
+         parse_map("(-x1^2*x2 + 1/3*x2 - 1, -x1)", blocks=(2,))),
+        (parse_map(f"({big}*x1^2*x2 - x2, x1 - 2/{big}*x2^2)", blocks=(2,)),
+         parse_map(f"(x1*x2^2 - {big}*x1, x2)", blocks=(2,))),
+    ]
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    if limit is not None:
+        sys.set_int_max_str_digits(640)
+    try:
+        for f, g in pairs:
+            for n in range(4):
+                rep = fdb_report(f, g, n, mode)
+                payload = rep.to_json()
+                assert payload["summands"] == [
+                    {"partition": str(s.partition), "block_sizes": list(s.partition.block_sizes()),
+                     "factors": [list(fac) for fac in s.factors], "map": str(s.result)}
+                    for s in rep.summands]
+                assert payload["total"] == str(rep.total)
+                assert payload["oracle"] == str(rep.oracle)
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+
+
+def test_summands_slice_compare_and_hash_as_a_tuple():
+    f = parse_map("(x1^2 + x2, x1*x2^2)", blocks=(2,))
+    g = parse_map("(x1^3*x2 - x2^2)", blocks=(2,))
+    for mode in ("forward", "reverse"):
+        rep, again = fdb_report(f, g, 3, mode), fdb_report(f, g, 3, mode)
+        every = tuple(rep.summands)
+        assert len(every) == 15
+        assert rep.summands[1:3] == every[1:3] and len(every[1:3]) == 2
+        assert rep.summands[::-4] == every[::-4]
+        assert rep.summands[20:] == ()
+        # a second report from the same inputs has equal summands
+        assert rep.summands == rep.summands == again.summands == every
+        assert every == again.summands
+        assert hash(rep.summands) == hash(again.summands) == hash(every)
+        assert rep.summands != every[1:] and rep.summands != list(every)
+    assert fdb_report(f, g, 3, "forward").summands != fdb_report(f, g, 3, "reverse").summands
 
 
 def test_first_difference_names_coordinate_and_monomial():

@@ -101,6 +101,13 @@ def test_block_sizes_and_text():
     p = SetPartition(((1, 4), (2, 3), (5,)))
     assert p.block_sizes() == (2, 2, 1)
     assert str(p) == "{1,4}|{2,3}|{5}"
+    # against the generator bodies they replaced, for every partition of n <= 7
+    for n in range(8):
+        for p in enumerate_partitions(n):
+            assert p.block_sizes() == tuple(len(b) for b in p.blocks)
+            assert str(p) == "|".join("{" + ",".join(str(i) for i in block) + "}"
+                                      for block in p.blocks)
+    assert str(SetPartition(())) == "" and SetPartition(()).block_sizes() == ()
 
 
 def test_enumeration_leaves_no_reference_cycle():

@@ -13,7 +13,7 @@ from hypothesis import example, given
 from revderiv.combinators import forward_derivative, reverse_derivative
 from revderiv.corpus import random_map
 from revderiv.maps import ArityProfile, PolyMap, sum_maps, zero_map
-from revderiv.poly import Polynomial, _accumulate, _graded, _text
+from revderiv.poly import Polynomial, _accumulate, _graded, _Names, _text
 from revderiv.syntax import parse_map, parse_polynomial
 
 
@@ -296,7 +296,7 @@ def naive_text(p):
 
 def test_printer_against_naive_scan_of_every_exponent():
     rng = random.Random(1200)
-    names = {}  # one table shared by every polynomial of a width
+    names = _Names()  # one table shared by every polynomial of a width
     for dim in [1, 2, 3, 7, 64, 999, 1000, 1200] + [rng.randint(1, 1200) for _ in range(12)]:
         names.clear()
         for _ in range(8):
